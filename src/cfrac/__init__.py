@@ -26,11 +26,9 @@ from .core import (
     term_at,
 )
 from .exact import (
-    DEFAULT_SEED,
     MAX_EXACT_DEPTH,
     DegenerateConvergent,
     DivisionByZeroFunction,
-    InsufficientSamples,
     Poly,
     PoleAtOrigin,
     RatFunc,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MAX_DEPTH",
-    "DEFAULT_SEED",
     "MAX_EXACT_DEPTH",
     "POLE_THRESHOLD",
     "TINY_GUARD",
@@ -67,7 +64,6 @@ __all__ = [
     "DivisionByZeroFunction",
     "DivisionNearZero",
     "EvalReport",
-    "InsufficientSamples",
     "NoConvergence",
     "Poly",
     "PoleAtOrigin",

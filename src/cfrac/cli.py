@@ -2,8 +2,8 @@
 
 Subcommands: eval (single value), convergents (table of successive
 convergents), series (exact Taylor coefficients), verify (exact identity
-suites), terms (term-stream inspection), study (error vs depth).  Output in
-text, CSV, or JSON.
+suites, each decided rather than sampled), terms (term-stream inspection),
+study (error vs depth).  Output in text, CSV, or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 from math import factorial
@@ -200,13 +199,13 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _run_suite(name: str, level: int, trials: int, rng: random.Random) -> bool:
+def _run_suite(name: str, level: int) -> bool:
     if name == "pairing":
         return all(exact.verify_pairing(m) for m in range(level + 1))
     if name == "offset":
-        return all(exact.verify_offset_rewrite(k, trials, rng) for k in range(level + 1))
+        return all(exact.verify_offset_rewrite(k) for k in range(level + 1))
     if name == "halving":
-        return all(exact.verify_halving_rewrite(k, trials, rng) for k in range(level + 1))
+        return all(exact.verify_halving_rewrite(k) for k in range(level + 1))
     if name == "flatten":
         return all(exact.verify_flattening(m) for m in range(level + 1))
     return exact.verify_series(level)
@@ -214,18 +213,12 @@ def _run_suite(name: str, level: int, trials: int, rng: random.Random) -> bool:
 
 def _cmd_verify(args) -> int:
     names = list(_SUITE_DEFAULT_LEVEL) if args.suite == "all" else [args.suite]
-    rng = random.Random(args.seed)
-    rows = []
-    for name in names:
-        level = args.max_level if args.max_level is not None else _SUITE_DEFAULT_LEVEL[name]
-        rows.append(
-            {
-                "suite": name,
-                "passed": _run_suite(name, level, args.trials, rng),
-                "seed": args.seed,
-            }
-        )
-    _emit_table(rows, ["suite", "passed", "seed"], args.format)
+    top = args.max_level
+    levels = {name: _SUITE_DEFAULT_LEVEL[name] if top is None else top for name in names}
+    for name, level in levels.items():  # reject a level before any suite runs
+        exact.check_level(name, level)
+    rows = [{"suite": name, "passed": _run_suite(name, level)} for name, level in levels.items()]
+    _emit_table(rows, ["suite", "passed"], args.format)
     return 0 if all(row["passed"] for row in rows) else 3
 
 
@@ -322,18 +315,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the exact identity-verification suites")
     p.add_argument("suite", choices=["pairing", "offset", "halving", "flatten", "series", "all"])
     p.add_argument(
-        "--trials",
-        type=_positive_int,
-        default=64,
-        help="random rational points per identity check (default 64)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=exact.DEFAULT_SEED,
-        help=f"seed for the random points (default {exact.DEFAULT_SEED})",
-    )
-    p.add_argument(
         "--max-level",
         dest="max_level",
         type=_nonneg_int,
@@ -378,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DivisionNearZero, NoConvergence) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except exact.InsufficientSamples as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

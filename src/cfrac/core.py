@@ -21,6 +21,7 @@ All functions are pure: no shared mutable state, safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Union
@@ -140,6 +141,14 @@ class EvalReport:
     method: Method
 
 
+def finite_float(x) -> float:
+    """``x`` as a float; ValueError if it is NaN or infinite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    return x
+
+
 def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
     """Return (a_k(x), b_k(x)) as doubles for k >= 1."""
     if k < 1:
@@ -177,7 +186,7 @@ def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    x = float(x)
+    x = finite_float(x)
     if tail is None:
         r = float(cf.termgen(depth).b(x))
     else:
@@ -221,7 +230,7 @@ def eval_forward(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    x = float(x)
+    x = finite_float(x)
     p_prev, p_cur = 1.0, float(cf.leading(x))
     q_prev, q_cur = 0.0, 1.0
     convergents = []
@@ -266,7 +275,7 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
         raise ValueError(f"eps must be > 0, got {eps}")
     if max_terms < 2:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
-    x = float(x)
+    x = finite_float(x)
     f = float(cf.leading(x))
     if abs(f) < TINY_GUARD:
         f = TINY_GUARD

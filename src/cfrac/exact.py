@@ -6,38 +6,34 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 - ``verify_pairing``: grouping the x*cot(x) fraction two terms at a time
   into the paired recursion reproduces its plain convergents.
 - ``verify_offset_rewrite``: shifting the paired recursion by -x equals its
-  four-term rewritten form (checked at random rational points with an
-  indeterminate tail value).
+  four-term rewritten form, for every tail value t.
 - ``verify_halving_rewrite``: substituting x -> x/2 into the offset form
-  equals the halved form (same random-point scheme).
+  equals the halved form, for every tail value t.
 - ``verify_flattening``: the flattened sec-tan term stream reproduces the
   nested halved recursion.
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
   zigzag(n)/n!, with the zigzag numbers computed by two independent
   methods (boustrophedon triangle and brute-force permutation counting).
 
-Scalars are ``fractions.Fraction`` throughout; ``Poly`` and ``RatFunc`` are
-kept deliberately minimal (univariate, dense) — no general computer-algebra
-ambitions.
+Every check is a decision with zero tolerance, never a sample.  Scalars
+are ``fractions.Fraction`` throughout; ``Poly`` and ``RatFunc`` are kept
+deliberately minimal (univariate, dense, never reduced) — no general
+computer-algebra ambitions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import CfSpec, PolyTerm
+from .core import CfSpec
 from .expansions import sec_tan_spec, xcot_spec
 
 # Depth ceiling for exact convergents; coefficient growth is the cost driver.
 MAX_EXACT_DEPTH = 64
-
-# Default seed for the random-rational-point identity checks (reported by
-# the CLI so runs are reproducible).
-DEFAULT_SEED = 1729
 
 
 class DivisionByZeroFunction(ZeroDivisionError):
@@ -49,11 +45,7 @@ class PoleAtOrigin(ZeroDivisionError):
 
 
 class DegenerateConvergent(ArithmeticError):
-    """A convergent collapsed onto a zero denominator polynomial."""
-
-
-class InsufficientSamples(RuntimeError):
-    """More than half of the random draws hit a zero denominator; re-seed."""
+    """A convergent's denominator Q_n is the zero polynomial."""
 
 
 class Poly:
@@ -156,12 +148,28 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 _P_ONE = Poly([1])
 
 
-class RatFunc:
-    """Quotient of two Polys kept in canonical form.
+def _coerced(op):
+    """Let a binary RatFunc method take an int or Fraction operand as a constant."""
 
-    Invariants: the denominator is nonzero and monic, numerator and
-    denominator are coprime, and the zero function is 0/1.  Canonical form
-    makes ``==`` a decision procedure for equality of rational functions.
+    @functools.wraps(op)
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RatFunc.const(other)
+        elif not isinstance(other, RatFunc):
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
+class RatFunc:
+    """Quotient num/den of two Polys with a nonzero denominator, kept as built.
+
+    Nothing is reduced, so one function has many representations: ``==``
+    decides equality by cross-multiplication, num * other.den ==
+    other.num * den.  Arithmetic and ``==`` accept int and Fraction operands
+    on either side.  Unhashable, since equal functions need not have equal
+    parts.
     """
 
     __slots__ = ("num", "den")
@@ -169,16 +177,6 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly = _P_ONE):
         if den.is_zero:
             raise DivisionByZeroFunction("denominator is the zero polynomial")
-        if num.is_zero:
-            num, den = Poly(), _P_ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = divmod(num, g)[0]
-                den = divmod(den, g)[0]
-            inv = 1 / den.coeffs[-1]
-            num = num.scale(inv)
-            den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -187,7 +185,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        return cls(Poly([Fraction(c)]))
+        return cls(Poly([c]))
 
     @classmethod
     def x(cls) -> "RatFunc":
@@ -200,28 +198,42 @@ class RatFunc:
     def __call__(self, x: Fraction) -> Fraction:
         return self.num(x) / self.den(x)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+    @_coerced
+    def __eq__(self, other: "RatFunc") -> bool:
+        return self.num * other.den == other.num * self.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
+    @_coerced
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
+    @_coerced
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
+    @_coerced
+    def __rsub__(self, other: "RatFunc") -> "RatFunc":
+        return other + (-self)
+
+    @_coerced
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
+    __rmul__ = __mul__
+
+    @_coerced
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise DivisionByZeroFunction("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
+
+    @_coerced
+    def __rtruediv__(self, other: "RatFunc") -> "RatFunc":
+        return other / self
 
     def scale_arg(self, c) -> "RatFunc":
         """The function x -> self(c * x)."""
@@ -231,47 +243,47 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _term_poly(term: PolyTerm) -> Poly:
-    return Poly(term.coefficients())
-
-
 def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
-    """The depth-``depth`` convergent of ``cf`` as an exact rational function.
+    """The depth-``depth`` convergent P_n/Q_n of ``cf`` as an exact rational function.
 
-    Folds b0 + a1/(b1 + ... + a_depth/b_depth) from the inside out,
-    normalizing (gcd reduction, monic denominator) after every step.  Depth
-    is capped at MAX_EXACT_DEPTH to bound coefficient growth.
+    Runs the forward three-term recurrence P_k = b_k*P_{k-1} + a_k*P_{k-2}
+    (likewise Q_k) from P_{-1} = 1, P_0 = b0, Q_{-1} = 0, Q_0 = 1 over
+    polynomials, and reduces nothing.  By the determinant formula
+    P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k (Jones & Thron
+    1980), gcd(P_n, Q_n) divides a_1*...*a_n, a power of x for both built-in
+    streams.  Depth is capped at MAX_EXACT_DEPTH to bound coefficient growth.
 
-    Raises DegenerateConvergent if the fold hits division by the zero
-    function (a collapsed convergent; not expected for the built-in specs).
+    Raises DegenerateConvergent exactly when Q_n is the zero polynomial.
     """
     if not 1 <= depth <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_EXACT_DEPTH}, got {depth}")
-    try:
-        tail = RatFunc(_term_poly(cf.termgen(depth).b))
-        for k in range(depth - 1, 0, -1):
-            a_next = RatFunc(_term_poly(cf.termgen(k + 1).a))
-            tail = RatFunc(_term_poly(cf.termgen(k).b)) + a_next / tail
-        return RatFunc(_term_poly(cf.leading)) + RatFunc(_term_poly(cf.termgen(1).a)) / tail
-    except DivisionByZeroFunction as exc:
-        raise DegenerateConvergent(
-            f"convergent of {cf.name!r} collapsed at depth {depth}"
-        ) from exc
+    p_prev, p = _P_ONE, Poly(cf.leading.coefficients())
+    q_prev, q = Poly(), _P_ONE
+    for k in range(1, depth + 1):
+        pair = cf.termgen(k)
+        a, b = Poly(pair.a.coefficients()), Poly(pair.b.coefficients())
+        p_prev, p = p, b * p + a * p_prev
+        q_prev, q = q, b * q + a * q_prev
+    if q.is_zero:
+        raise DegenerateConvergent(f"convergent of {cf.name!r} has Q_{depth} = 0")
+    return RatFunc(p, q)
 
 
 def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
     """Taylor coefficients c_0..c_order of f at x = 0, by long division.
 
-    Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  Raises PoleAtOrigin when
-    the (reduced) denominator vanishes at 0.
+    Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  The power of x that
+    divides both numerator and denominator is cancelled first; PoleAtOrigin
+    is raised when the denominator still vanishes at 0.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    den = f.den.coeffs
+    num, den = f.num.coeffs, f.den.coeffs
+    while den[0] == 0 and (not num or num[0] == 0):  # den is nonzero, so this stops
+        num, den = num[1:], den[1:]
     d0 = den[0]
     if d0 == 0:
         raise PoleAtOrigin("denominator vanishes at x = 0")
-    num = f.num.coeffs
     out: list[Fraction] = []
     for i in range(order + 1):
         acc = num[i] if i < len(num) else Fraction(0)
@@ -314,84 +326,89 @@ def alternating_count(n: int) -> int:
     return count
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    # numerators in [-99, 99], denominators in [1, 99]
-    return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+# Tail values at which the two sides of a tail rewrite are compared.
+_TAIL_POINTS = (1, 2, 3)
 
 
-def _agree_at_random_points(
-    lhs: Callable[[int, Fraction, Fraction], Fraction],
-    rhs: Callable[[int, Fraction, Fraction], Fraction],
+def _agree_for_every_tail(
+    lhs: Callable[[int, RatFunc, int], RatFunc],
+    rhs: Callable[[int, RatFunc, int], RatFunc],
     k: int,
-    trials: int,
-    rng: random.Random | None,
 ) -> bool:
-    """Exact equality of two bivariate expressions at random rational (x, t).
+    """Decide lhs(k, x, t) == rhs(k, x, t) as rational functions of x and t.
 
-    Draws that hit a zero denominator on either side are skipped;
-    InsufficientSamples is raised when more than half are skipped.
+    x is the indeterminate RatFunc.x(), and t enters each side once, so each
+    side is a Moebius map (alpha*t + beta)/(gamma*t + delta) over the rational
+    functions of x.  Cross-multiplied, the two sides differ by a polynomial
+    of degree <= 2 in t, which is zero once it vanishes at the three points
+    of _TAIL_POINTS.  A division by the zero function at one of those points
+    makes the check fail, never pass.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    skipped = 0
-    agree = True
-    for _ in range(trials):
-        x = _random_rational(rng)
-        t = _random_rational(rng)
-        try:
-            if lhs(k, x, t) != rhs(k, x, t):
-                agree = False
-        except ZeroDivisionError:
-            skipped += 1
-    if 2 * skipped > trials:
-        raise InsufficientSamples(f"{skipped} of {trials} draws hit a zero denominator")
-    return agree
+    x = RatFunc.x()
+    try:
+        return all(lhs(k, x, t) == rhs(k, x, t) for t in _TAIL_POINTS)
+    except DivisionByZeroFunction:
+        return False
 
 
-def _offset_lhs(k: int, x: Fraction, t: Fraction) -> Fraction:
+def _offset_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
     # paired recursion unrolled once with its tail set to t + x, shifted by -x
     return (4 * k + 1) - x * x / ((4 * k + 3) - x * x / (t + x)) - x
 
 
-def _offset_rhs(k: int, x: Fraction, t: Fraction) -> Fraction:
+def _offset_rhs(k: int, x: RatFunc, t: int) -> RatFunc:
     # offset recursion unrolled once with tail t
     return (4 * k + 1) - x / (1 - x / ((4 * k + 3) + x / (1 + x / t)))
 
 
-def verify_offset_rewrite(k: int = 0, trials: int = 64, rng: random.Random | None = None) -> bool:
-    """Check that shifting the paired recursion by -x equals its rewritten form.
+def verify_offset_rewrite(k: int = 0) -> bool:
+    """Decide that shifting the paired recursion by -x equals its rewritten form.
 
     Both sides are one unrolled level at index k with an indeterminate tail
     value t (the tail of the shifted side is t + x so that both sides cut
-    the recursion at the same place), evaluated exactly at ``trials``
-    random rational points (x, t).  Returns True iff every evaluated pair
-    agrees exactly.
+    the recursion at the same place).  Returns True iff they are the same
+    rational function of x and t.
     """
-    return _agree_at_random_points(_offset_lhs, _offset_rhs, k, trials, rng)
+    return _agree_for_every_tail(_offset_lhs, _offset_rhs, k)
 
 
-def _halving_lhs(k: int, x: Fraction, t: Fraction) -> Fraction:
+def _halving_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
     # offset recursion at argument x/2, with tail t
     h = x / 2
     return (4 * k + 1) - h / (1 - h / ((4 * k + 3) + h / (1 + h / t)))
 
 
-def _halving_rhs(k: int, x: Fraction, t: Fraction) -> Fraction:
+def _halving_rhs(k: int, x: RatFunc, t: int) -> RatFunc:
     # halved recursion unrolled once with tail t
     return (4 * k + 1) - x / (2 - x / ((4 * k + 3) + x / (2 + x / t)))
 
 
-def verify_halving_rewrite(k: int = 0, trials: int = 64, rng: random.Random | None = None) -> bool:
-    """Check that substituting x -> x/2 into the offset form gives the halved form.
+def verify_halving_rewrite(k: int = 0) -> bool:
+    """Decide that substituting x -> x/2 into the offset form gives the halved form.
 
-    Same random-rational-point scheme as ``verify_offset_rewrite``, one
-    unrolled level at index k, shared indeterminate tail t.
+    Decided like ``verify_offset_rewrite``: one unrolled level at index k,
+    shared indeterminate tail t.
     """
-    return _agree_at_random_points(_halving_lhs, _halving_rhs, k, trials, rng)
+    return _agree_for_every_tail(_halving_lhs, _halving_rhs, k)
+
+
+# Depth of the exact convergent that each suite folds at level m; the tail
+# rewrites fold none.
+_FOLD_DEPTH = {
+    "pairing": lambda m: 2 * m + 1,
+    "flatten": lambda m: 4 * m + 3,
+    "series": lambda order: 2 * order + 3,
+}
+
+
+def check_level(suite: str, level: int) -> None:
+    """Raise ValueError, folding nothing, if checking ``suite`` at ``level``
+    needs a convergent deeper than MAX_EXACT_DEPTH."""
+    depth = _FOLD_DEPTH.get(suite, lambda level: 0)(level)
+    if depth > MAX_EXACT_DEPTH:
+        raise ValueError(f"{suite} level {level} needs exact depth {depth}, past {MAX_EXACT_DEPTH}")
 
 
 def verify_pairing(m: int) -> bool:
@@ -404,11 +421,11 @@ def verify_pairing(m: int) -> bool:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    plain = convergent_exact(xcot_spec(), 2 * m + 1)
+    plain = convergent_exact(xcot_spec(), _FOLD_DEPTH["pairing"](m))
     xx = RatFunc(Poly([0, 0, 1]))
-    paired = RatFunc.const(4 * m + 1) - xx / RatFunc.const(4 * m + 3)
+    paired = (4 * m + 1) - xx / (4 * m + 3)
     for j in range(m - 1, -1, -1):
-        paired = RatFunc.const(4 * j + 1) - xx / (RatFunc.const(4 * j + 3) - xx / paired)
+        paired = (4 * j + 1) - xx / ((4 * j + 3) - xx / paired)
     return plain == paired
 
 
@@ -424,15 +441,12 @@ def verify_flattening(m: int) -> bool:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    flat = convergent_exact(sec_tan_spec(), 4 * m + 3)
+    flat = convergent_exact(sec_tan_spec(), _FOLD_DEPTH["flatten"](m))
     x = RatFunc.x()
-    two = RatFunc.const(2)
-    nested = RatFunc.const(4 * m + 1) - x / (two - x / RatFunc.const(4 * m + 3))
+    nested = (4 * m + 1) - x / (2 - x / (4 * m + 3))
     for j in range(m - 1, -1, -1):
-        nested = RatFunc.const(4 * j + 1) - x / (
-            two - x / (RatFunc.const(4 * j + 3) + x / (two + x / nested))
-        )
-    return flat == RatFunc.const(1) + x / nested
+        nested = (4 * j + 1) - x / (2 - x / ((4 * j + 3) + x / (2 + x / nested)))
+    return flat == 1 + x / nested
 
 
 def verify_series(order: int) -> bool:
@@ -443,6 +457,6 @@ def verify_series(order: int) -> bool:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    conv = convergent_exact(sec_tan_spec(), 2 * order + 3)
+    conv = convergent_exact(sec_tan_spec(), _FOLD_DEPTH["series"](order))
     coeffs = series_from_ratfunc(conv, order)
     return all(c == Fraction(zigzag(n), math.factorial(n)) for n, c in enumerate(coeffs))

@@ -39,6 +39,7 @@ from .core import (
     EvalReport,
     NoConvergence,
     TermPair,
+    finite_float,
     poly,
     relative_difference,
 )
@@ -92,7 +93,7 @@ def paired_value(k: int, x: float, pairs: int, tail: float | None = None) -> flo
         raise ValueError(f"k must be >= 0, got {k}")
     if pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {pairs}")
-    x = float(x)
+    x = finite_float(x)
     xx = x * x
     bottom = k + pairs
     where = f"paired_value(k={k}, x={x!r})"
@@ -123,7 +124,7 @@ def offset_value(k: int, x: float, levels: int, tail: float | None = None) -> fl
         raise ValueError(f"k must be >= 0, got {k}")
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    x = float(x)
+    x = finite_float(x)
     bottom = k + levels
     where = f"offset_value(k={k}, x={x!r})"
     inner = 1.0 if tail is None else 1.0 + _div(x, tail, where)
@@ -152,7 +153,7 @@ def halved_value(k: int, x: float, levels: int, tail: float | None = None) -> fl
         raise ValueError(f"k must be >= 0, got {k}")
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    x = float(x)
+    x = finite_float(x)
     bottom = k + levels
     where = f"halved_value(k={k}, x={x!r})"
     if tail is None:
@@ -182,7 +183,7 @@ def sec_tan(
     """
     if target_rel_err <= 0:
         raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
-    x = float(x)
+    x = finite_float(x)
     previous = _headline(x, 4)
     levels = 8
     while levels <= max_levels:

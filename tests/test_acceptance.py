@@ -62,8 +62,8 @@ def criterion(number: int, label: str):
 
 def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
     with criterion(1, "exact derivation-step verification, mutation-sensitive"):
-        assert all(exact.verify_offset_rewrite(k, trials=64) for k in range(6))
-        assert all(exact.verify_halving_rewrite(k, trials=64) for k in range(6))
+        assert all(exact.verify_offset_rewrite(k) for k in range(6))
+        assert all(exact.verify_halving_rewrite(k) for k in range(6))
         assert all(exact.verify_pairing(m) for m in range(9))
         assert all(exact.verify_flattening(m) for m in range(4))
         assert exact.verify_series(12)
@@ -72,14 +72,14 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
         original_offset = exact._offset_rhs
         with monkeypatch.context() as mp:
             mp.setattr(exact, "_offset_rhs", lambda k, x, t: original_offset(k, -x, t))
-            assert not exact.verify_offset_rewrite(0, trials=8)
+            assert not exact.verify_offset_rewrite(0)
 
         def bad_halving(k, x, t):
             return (4 * k + 1) - x / (3 - x / ((4 * k + 3) + x / (2 + x / t)))
 
         with monkeypatch.context() as mp:
             mp.setattr(exact, "_halving_rhs", bad_halving)
-            assert not exact.verify_halving_rewrite(0, trials=8)
+            assert not exact.verify_halving_rewrite(0)
 
         with monkeypatch.context() as mp:
             mp.setattr(
@@ -173,7 +173,7 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
         assert json.loads(json.dumps(record)) == record
 
         # exit 0 from the genuine verification suites
-        assert main(["verify", "offset", "--trials", "16", "--max-level", "1"]) == 0
+        assert main(["verify", "offset", "--max-level", "1"]) == 0
         capsys.readouterr()
 
         # exit 1: usage error
@@ -188,5 +188,5 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
         original = exact._offset_rhs
         with monkeypatch.context() as mp:
             mp.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, -x, t))
-            assert main(["verify", "offset", "--trials", "8"]) == 3
+            assert main(["verify", "offset"]) == 3
         capsys.readouterr()

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import shutil
@@ -204,27 +203,23 @@ def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == ["suite", "passed", "seed"]
+    assert lines[0].split() == ["suite", "passed"]
     suites = [line.split()[0] for line in lines[1:]]
     assert suites == ["pairing", "offset", "halving", "flatten", "series"]
     for line in lines[1:]:
-        assert line.split()[1] == "pass"
-        assert line.split()[2] == "1729"
+        assert line.split()[1:] == ["pass"]
 
 
 def test_verify_single_suite_json(capsys):
-    code, out, _ = run(
-        capsys, "verify", "halving", "--trials", "16", "--seed", "7", "--max-level", "2",
-        "--format", "json",
-    )
+    code, out, _ = run(capsys, "verify", "halving", "--max-level", "2", "--format", "json")
     assert code == 0
     rows = json.loads(out)
-    assert rows == [{"suite": "halving", "passed": True, "seed": 7}]
+    assert rows == [{"suite": "halving", "passed": True}]
 
 
 def test_verify_is_reproducible(capsys):
-    first = run(capsys, "verify", "offset", "--trials", "8", "--seed", "42")
-    second = run(capsys, "verify", "offset", "--trials", "8", "--seed", "42")
+    first = run(capsys, "verify", "offset")
+    second = run(capsys, "verify", "offset")
     assert first == second
     assert first[0] == 0
 
@@ -232,23 +227,31 @@ def test_verify_is_reproducible(capsys):
 def test_verify_failure_exits_3(capsys, monkeypatch):
     original = exact._offset_rhs
     monkeypatch.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, -x, t))
-    code, out, err = run(capsys, "verify", "offset", "--trials", "8")
+    code, out, err = run(capsys, "verify", "offset")
     assert code == 3
     assert "fail" in out
 
 
-def test_verify_insufficient_samples_exits_3(capsys, monkeypatch):
-    draws = itertools.cycle([Fraction(1), Fraction(-1)])
-    monkeypatch.setattr(exact, "_random_rational", lambda rng: next(draws))
-    code, out, err = run(capsys, "verify", "offset", "--trials", "4")
-    assert code == 3
-    assert "InsufficientSamples" in err
+def test_verify_level_beyond_exact_cap_is_usage_error(capsys, monkeypatch):
+    def must_not_run(m):
+        raise AssertionError("a suite ran before the level was checked")
 
-
-def test_verify_level_beyond_exact_cap_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "flatten", "--max-level", "16")
+    monkeypatch.setattr(exact, "verify_pairing", must_not_run)
+    for suite in ("flatten", "all"):
+        code, out, err = run(capsys, "verify", suite, "--max-level", "16")
+        assert code == 1, suite
+        assert out == ""
+        assert "error" in err and "flatten level 16" in err
+    code, out, err = run(capsys, "verify", "series", "--max-level", "31")
     assert code == 1
-    assert "error" in err
+    assert "series level 31" in err
+
+
+def test_verify_sampling_flags_are_gone(capsys):
+    for flag in ("--trials", "--seed"):
+        code, out, err = run(capsys, "verify", "offset", flag, "8")
+        assert code == 1, flag
+        assert "unrecognized arguments" in err
 
 
 def test_study_error_decays(capsys):

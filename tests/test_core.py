@@ -14,7 +14,11 @@ from cfrac import (
     eval_backward,
     eval_forward,
     eval_lentz,
+    halved_value,
+    offset_value,
+    paired_value,
     poly,
+    sec_tan,
     sec_tan_spec,
     term_at,
     xcot_spec,
@@ -203,3 +207,28 @@ def test_deterministic_reruns():
     first = eval_adaptive(sec_tan_spec(), 1.1, 1e-12)
     second = eval_adaptive(sec_tan_spec(), 1.1, 1e-12)
     assert first == second
+
+
+def _no_terms(k):
+    raise AssertionError(f"term {k} generated for a non-finite x")
+
+
+_SILENT = CfSpec(name="silent", leading=poly(1), termgen=_no_terms)
+
+NON_FINITE_CALLS = {
+    "eval_backward": lambda x: eval_backward(_SILENT, x, 8),
+    "eval_forward": lambda x: eval_forward(_SILENT, x, 8),
+    "eval_lentz": lambda x: eval_lentz(_SILENT, x, 1e-12, 100),
+    "eval_adaptive": lambda x: eval_adaptive(_SILENT, x, 1e-12),
+    "sec_tan": lambda x: sec_tan(x),
+    "paired_value": lambda x: paired_value(0, x, 8),
+    "offset_value": lambda x: offset_value(0, x, 8),
+    "halved_value": lambda x: halved_value(0, x, 8),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluator", list(NON_FINITE_CALLS))
+def test_non_finite_x_is_rejected_before_any_term(evaluator, x):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[evaluator](x)

@@ -1,4 +1,4 @@
-import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +8,6 @@ from cfrac import (
     CfSpec,
     DegenerateConvergent,
     DivisionByZeroFunction,
-    InsufficientSamples,
     Poly,
     PoleAtOrigin,
     RatFunc,
@@ -79,16 +78,17 @@ def test_poly_gcd_is_monic():
     assert poly_gcd(a.scale(-7), Poly(())) == a
 
 
-def test_ratfunc_canonical_form():
-    # 0 is always 0/1
-    assert RatFunc(Poly(()), X).num.is_zero
-    assert RatFunc(Poly(()), X).den == ONE
-    # common factors cancel
+def test_ratfunc_unreduced_forms_compare_equal():
+    # common factors are kept, and equality cross-multiplies past them
+    assert RatFunc(X * X, X).den == X
     assert RatFunc(X * X, X) == RatFunc(X)
-    # the denominator is scaled monic
+    assert RatFunc(X * X, X) != RatFunc(X * X)
+    assert RatFunc(Poly(()), X) == 0
     f = RatFunc(ONE, ONE - X)  # 1/(1-x)
-    assert f.den.coeffs[-1] == 1
     assert f == RatFunc(Poly((-1,)), X - ONE)
+    # series extraction cancels the shared power of x first
+    assert series_from_ratfunc(RatFunc(X, X * X + X), 3) == [1, -1, 1, -1]
+    assert series_from_ratfunc(RatFunc(Poly(()), X), 2) == [0, 0, 0]
 
 
 def test_ratfunc_arithmetic():
@@ -105,6 +105,17 @@ def test_ratfunc_arithmetic():
         f / RatFunc.const(0)
     with pytest.raises(DivisionByZeroFunction):
         RatFunc(ONE, Poly(()))
+
+
+def test_ratfunc_takes_scalars_on_either_side():
+    x = RatFunc.x()
+    assert 1 + x == x + 1 == RatFunc(X + ONE)
+    assert 1 - x == -(x - 1)
+    assert Fraction(1, 2) * x == x / 2 == RatFunc(X, Poly((2,)))
+    assert 2 / x == RatFunc(Poly((2,)), X)
+    assert RatFunc.const(3) == 3 and RatFunc.const(3) != Fraction(1, 3)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_ratfunc_scale_arg():
@@ -149,7 +160,7 @@ def test_convergent_exact_depth_bounds():
 
 
 def test_convergent_exact_degenerate():
-    # b_1 is the zero polynomial and a_2/b_2 doesn't rescue it at depth 1
+    # 1 + 1/(0 + 1/(0 + ...)): Q_n is 0 at odd depths, so only those collapse
     bad = CfSpec(
         name="degenerate",
         leading=poly(1),
@@ -157,6 +168,37 @@ def test_convergent_exact_degenerate():
     )
     with pytest.raises(DegenerateConvergent):
         convergent_exact(bad, 1)
+    assert convergent_exact(bad, 2) == 1
+    with pytest.raises(DegenerateConvergent):
+        convergent_exact(bad, 3)
+
+
+def inside_out_fold(spec, t, depth):
+    """b0 + a1/(b1 + ... + a_depth/b_depth) at the rational t, innermost first."""
+    value = spec.termgen(depth).b(t)
+    for k in range(depth - 1, 0, -1):
+        value = spec.termgen(k).b(t) + spec.termgen(k + 1).a(t) / value
+    return spec.leading(t) + spec.termgen(1).a(t) / value
+
+
+@pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
+def test_convergent_exact_matches_inside_out_fold_at_every_depth(spec):
+    rng = random.Random(f"fold:{spec.name}")
+    for depth in range(1, exact.MAX_EXACT_DEPTH + 1):
+        while True:
+            t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 20))
+            try:
+                expected = inside_out_fold(spec, t, depth)
+            except ZeroDivisionError:  # t is a pole of a partial fold; draw again
+                continue
+            break
+        assert convergent_exact(spec, depth)(t) == expected, (depth, t)
+
+
+@pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
+def test_deepest_convergent_has_a_series(spec):
+    coeffs = series_from_ratfunc(convergent_exact(spec, exact.MAX_EXACT_DEPTH), 8)
+    assert len(coeffs) == 9 and coeffs[0] == 1
 
 
 def test_series_from_ratfunc():
@@ -202,7 +244,26 @@ def test_series_coefficients_are_zigzag_over_factorial():
 def test_offset_rewrite_detects_sign_flip(monkeypatch):
     original = exact._offset_rhs
     monkeypatch.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, -x, t))
-    assert not verify_offset_rewrite(0, trials=8)
+    assert not verify_offset_rewrite(0)
+
+
+@pytest.mark.parametrize("shift", [1, -1])  # -1 puts a pole at the tail point t = 1
+def test_offset_rewrite_detects_a_shifted_tail(monkeypatch, shift):
+    # right at every x, wrong in t: only the tail points can expose it
+    original = exact._offset_rhs
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, x, t + shift))
+    assert not verify_offset_rewrite(0)
+    assert not verify_offset_rewrite(3)
+
+
+def test_offset_rewrite_needs_all_three_tail_points(monkeypatch):
+    # t -> (3t - 2)/t fixes t = 1 and t = 2 only, so this right side is still
+    # a Moebius map in t that agrees with the true one at two tail points
+    original = exact._offset_rhs
+    monkeypatch.setattr(
+        exact, "_offset_rhs", lambda k, x, t: original(k, x, Fraction(3 * t - 2, t))
+    )
+    assert not verify_offset_rewrite(0)
 
 
 def test_halving_rewrite_detects_wrong_constant(monkeypatch):
@@ -211,7 +272,7 @@ def test_halving_rewrite_detects_wrong_constant(monkeypatch):
         return (four_k + 1) - x / (3 - x / ((four_k + 3) + x / (2 + x / t)))
 
     monkeypatch.setattr(exact, "_halving_rhs", corrupted)
-    assert not verify_halving_rewrite(0, trials=8)
+    assert not verify_halving_rewrite(0)
 
 
 def test_pairing_detects_sign_error(monkeypatch):
@@ -245,20 +306,14 @@ def test_series_detects_off_by_one(monkeypatch):
     assert not verify_series(3)
 
 
-class _RiggedRng:
-    """Always produces the rational 1 for x and -1 for the tail, which lands
-    every probe on the t + x = 0 pole of the pre-rewrite offset form."""
-
-    def __init__(self):
-        self._draws = itertools.cycle([1, 1, -1, 1])
-
-    def randint(self, lo, hi):
-        return next(self._draws)
-
-
-def test_insufficient_samples_when_every_point_is_a_pole():
-    with pytest.raises(InsufficientSamples):
-        verify_offset_rewrite(0, trials=4, rng=_RiggedRng())
+def test_check_level_applies_each_suite_depth_rule():
+    exact.check_level("flatten", 15)  # depth 63
+    exact.check_level("series", 30)  # depth 63
+    exact.check_level("pairing", 31)  # depth 63
+    exact.check_level("offset", 10**6)  # the tail rewrites fold no convergent
+    for suite, level in (("flatten", 16), ("series", 31), ("pairing", 32)):
+        with pytest.raises(ValueError):
+            exact.check_level(suite, level)
 
 
 def test_verify_validates_arguments():
@@ -269,6 +324,6 @@ def test_verify_validates_arguments():
     with pytest.raises(ValueError):
         verify_series(-1)
     with pytest.raises(ValueError):
-        verify_offset_rewrite(0, trials=0)
-    with pytest.raises(ValueError):
         verify_offset_rewrite(-1)
+    with pytest.raises(ValueError):
+        verify_halving_rewrite(-1)

@@ -62,10 +62,9 @@ def test_ratfunc_mul_div_roundtrip(f, g):
 
 
 @common
-@given(ratfuncs)
-def test_ratfunc_normalization_is_idempotent(f):
-    assert RatFunc(f.num, f.den) == f
-    assert f.den.coeffs[-1] == 1
+@given(ratfuncs, nonzero_polys)
+def test_ratfunc_equality_ignores_common_factors(f, g):
+    assert RatFunc(f.num * g, f.den * g) == f
 
 
 @common
