@@ -25,6 +25,7 @@ from .core import (
     DivisionNearZero,
     EvalReport,
     NoConvergence,
+    _fold,
     eval_adaptive,
     eval_backward,
     eval_forward,
@@ -61,29 +62,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a decimal or p/q rational: {text!r}") from exc
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        value = Fraction(text)
+        float(value)  # every command evaluates at float(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"not a p/q or decimal in float range: {text!r}") from exc
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int, _nonneg_int = _int_at_least(1), _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -144,11 +143,11 @@ def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
     depth = args.depth or DEFAULT_FIXED_DEPTH
     if args.method == "backward":
         value = eval_backward(spec, x, depth)
-        previous = eval_backward(spec, x, depth - 1) if depth > 1 else float(spec.leading(x))
+        previous = _fold(spec, x, 0, depth - 1)  # the depth-0 fold is b0(x)
     else:
         convergents = eval_forward(spec, x, depth)
         value = convergents[-1]
-        previous = convergents[-2] if depth > 1 else float(spec.leading(x))
+        previous = convergents[-2] if depth > 1 else _fold(spec, x, 0, 0)
     return EvalReport(
         value=value,
         depth=depth,
@@ -181,7 +180,7 @@ def _cmd_eval(args) -> int:
 def _cmd_convergents(args) -> int:
     x = float(args.x)
     spec = _SPECS[args.function]()
-    previous = float(spec.leading(x))
+    previous = _fold(spec, x, 0, 0)  # b0(x)
     rows = []
     for n, value in enumerate(eval_forward(spec, x, args.depth), start=1):
         rows.append({"n": n, "value": value, "delta": abs(value - previous)})

@@ -16,13 +16,18 @@ modified Lentz iteration with the usual tiny-value guard.  ``eval_adaptive``
 wraps the backward recurrence in a depth-doubling loop with an a posteriori
 relative-error estimate.
 
-All functions are pure: no shared mutable state, safe to call concurrently.
+Every float evaluator reads the terms from one table per ``CfSpec``: their
+binary64 coefficients, filled from ``termgen`` up to the deepest index used
+so far and evaluated by float Horner, as ``PolyTerm.__call__`` does for a
+float x.  That shared state is safe under concurrent callers because it is
+never changed in place: a longer copy replaces it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Union
 
@@ -125,6 +130,8 @@ class CfSpec:
     name: str
     leading: PolyTerm
     termgen: Callable[[int], TermPair]
+    # rows (a0, a1, a2, b0, b1, b2) for k = 0, 1, ..., row 0 holding ``leading`` as b
+    _table: array = field(default_factory=lambda: array("d"), init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -149,12 +156,30 @@ def finite_float(x) -> float:
     return x
 
 
+def _rows(cf: CfSpec, last: int) -> array:
+    """``cf``'s table through index ``last`` at least; a short table at least doubles."""
+    table = cf._table
+    if len(table) > 6 * last:
+        return table
+    grown = array("d", table or (0.0, 0.0, 0.0, *map(float, cf.leading.coefficients())))
+    for k in range(len(grown) // 6, max(last, 2 * len(table) // 6) + 1):
+        pair = cf.termgen(k)
+        grown.extend(map(float, pair.a.coefficients() + pair.b.coefficients()))
+    object.__setattr__(cf, "_table", grown)
+    return grown
+
+
+def _at(t: array, i: int, x: float) -> float:
+    """The polynomial whose coefficients start at t[i], at x."""
+    return (t[i + 2] * x + t[i + 1]) * x + t[i]
+
+
 def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
     """Return (a_k(x), b_k(x)) as doubles for k >= 1."""
     if k < 1:
         raise ValueError(f"term index must be >= 1, got {k}")
-    pair = cf.termgen(k)
-    return float(pair.a(x)), float(pair.b(x))
+    t = _rows(cf, k)
+    return _at(t, 6 * k, x), _at(t, 6 * k + 3, x)
 
 
 def continuation_spec(cf: CfSpec, start: int) -> CfSpec:
@@ -172,6 +197,23 @@ def continuation_spec(cf: CfSpec, start: int) -> CfSpec:
     )
 
 
+def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = None) -> float:
+    """``eval_backward``'s fold started at index ``start``: b_start + a_{start+1}/(...)."""
+    if tail is not None and abs(tail) < POLE_THRESHOLD:
+        raise DivisionNearZero(f"tail estimate {tail!r} is below {POLE_THRESHOLD}")
+    end = start + depth
+    t = _rows(cf, end if tail is None else end + 1)
+    r = _at(t, 6 * end + 3, x)
+    if tail is not None:
+        r += _at(t, 6 * end + 6, x) / tail
+    for k in range(end, start, -1):
+        if abs(r) < POLE_THRESHOLD:
+            raise DivisionNearZero(f"denominator underflow at index {k} (x={x!r})")
+        i = 6 * k  # b_{k-1} + a_k / r
+        r = ((t[i - 1] * x + t[i - 2]) * x + t[i - 3]) + ((t[i + 2] * x + t[i + 1]) * x + t[i]) / r
+    return r
+
+
 def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -> float:
     """Backward recurrence on the depth-``depth`` truncation.
 
@@ -186,22 +228,7 @@ def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    x = finite_float(x)
-    if tail is None:
-        r = float(cf.termgen(depth).b(x))
-    else:
-        if abs(tail) < POLE_THRESHOLD:
-            raise DivisionNearZero(f"tail estimate {tail!r} is below {POLE_THRESHOLD}")
-        a_next = float(cf.termgen(depth + 1).a(x))
-        r = float(cf.termgen(depth).b(x)) + a_next / tail
-    for k in range(depth, 1, -1):
-        if abs(r) < POLE_THRESHOLD:
-            raise DivisionNearZero(f"denominator underflow at index {k} (x={x!r})")
-        a_k, b_prev = float(cf.termgen(k).a(x)), float(cf.termgen(k - 1).b(x))
-        r = b_prev + a_k / r
-    if abs(r) < POLE_THRESHOLD:
-        raise DivisionNearZero(f"denominator underflow at index 1 (x={x!r})")
-    return float(cf.leading(x)) + float(cf.termgen(1).a(x)) / r
+    return _fold(cf, finite_float(x), 0, depth, tail)
 
 
 # Joint rescale factor for the forward recurrence.  An exact power of two,
@@ -231,7 +258,7 @@ def eval_forward(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = finite_float(x)
-    p_prev, p_cur = 1.0, float(cf.leading(x))
+    p_prev, p_cur = 1.0, _at(_rows(cf, 0), 3, x)
     q_prev, q_cur = 0.0, 1.0
     convergents = []
     for n in range(1, depth + 1):
@@ -276,7 +303,7 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
     if max_terms < 2:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
     x = finite_float(x)
-    f = float(cf.leading(x))
+    f = _at(_rows(cf, 0), 3, x)
     if abs(f) < TINY_GUARD:
         f = TINY_GUARD
     c_prev = f
@@ -303,6 +330,22 @@ def relative_difference(v_new: float, v_old: float) -> float:
     return abs(v_new - v_old) / max(abs(v_new), POLE_THRESHOLD)
 
 
+def _deepen(probe, x: float, target_rel_err: float, limit: int) -> EvalReport:
+    """``probe(n)`` at n = 4, 8, 16, ... <= ``limit`` until one agrees with the last."""
+    if target_rel_err <= 0:
+        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
+    previous = probe(4)
+    n = 8
+    while n <= limit:
+        value = probe(n)
+        est = relative_difference(value, previous)
+        if est <= target_rel_err:
+            return EvalReport(value=value, depth=n, est_rel_err=est, method="backward")
+        previous = value
+        n *= 2
+    raise NoConvergence(f"no agreement within {target_rel_err} up to depth {limit} (x={x!r})")
+
+
 def eval_adaptive(
     cf: CfSpec,
     x: float,
@@ -319,17 +362,4 @@ def eval_adaptive(
     Raises NoConvergence when ``max_depth`` is passed without agreement;
     DivisionNearZero propagates from the backward recurrence.
     """
-    if target_rel_err <= 0:
-        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
-    previous = eval_backward(cf, x, 4)
-    depth = 8
-    while depth <= max_depth:
-        value = eval_backward(cf, x, depth)
-        est = relative_difference(value, previous)
-        if est <= target_rel_err:
-            return EvalReport(value=value, depth=depth, est_rel_err=est, method="backward")
-        previous = value
-        depth *= 2
-    raise NoConvergence(
-        f"no agreement within {target_rel_err} up to depth {max_depth} (x={x!r})"
-    )
+    return _deepen(lambda depth: eval_backward(cf, x, depth), x, target_rel_err, max_depth)

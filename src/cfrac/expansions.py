@@ -24,32 +24,37 @@ values):
 
     sec(x) + tan(x) = 1 + x/halved_0(x)
 
-This module provides direct nested evaluators for all three recursions
-(each step of the chain is verified in exact arithmetic by the ``exact``
-module) and the headline adaptive evaluator ``sec_tan``.
+Each recursion is one flat term stream folded backward by ``core`` from some
+index: paired_k is the x*cot(x) stream from 2k, halved_k the sec-tan stream
+from 4k + 1 and offset_k the stream of ``_offset_terms`` from 4k.  Both spec
+factories return one shared instance, so each stream's float table is built
+once.  Each step of the chain is verified exactly by the ``exact`` module.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import (
-    POLE_THRESHOLD,
     DEFAULT_MAX_DEPTH,
     CfSpec,
-    DivisionNearZero,
     EvalReport,
-    NoConvergence,
     TermPair,
+    _deepen,
+    _fold,
+    eval_backward,
     finite_float,
     poly,
-    relative_difference,
 )
 
 _MINUS_X_SQ = poly(c2=-1)
 _PLUS_X = poly(c1=1)
 _MINUS_X = poly(c1=-1)
+_ONE = poly(1)
 _TWO = poly(2)
 
 
+@cache
 def xcot_spec() -> CfSpec:
     """The fraction 1 - x^2/(3 - x^2/(5 - ...)) whose value is x*cot(x)."""
 
@@ -59,6 +64,7 @@ def xcot_spec() -> CfSpec:
     return CfSpec(name="xcot", leading=poly(1), termgen=gen)
 
 
+@cache
 def sec_tan_spec() -> CfSpec:
     """The flattened single-stream fraction whose value is sec(x) + tan(x).
 
@@ -73,95 +79,48 @@ def sec_tan_spec() -> CfSpec:
     return CfSpec(name="sec-tan", leading=poly(1), termgen=gen)
 
 
-def _div(num: float, den: float, what: str) -> float:
-    if abs(den) < POLE_THRESHOLD:
-        raise DivisionNearZero(f"denominator underflow in {what}")
-    return num / den
+def _offset_terms(k: int) -> TermPair:
+    """b_k = 1 for odd k and k + 1 for even k; a_k = -x when k mod 4 is 1 or 2, else +x."""
+    return TermPair(a=_MINUS_X if k % 4 in (1, 2) else _PLUS_X, b=_ONE if k % 2 else poly(k + 1))
+
+
+_OFFSET = CfSpec(name="offset", leading=_ONE, termgen=_offset_terms)
 
 
 def paired_value(k: int, x: float, pairs: int, tail: float | None = None) -> float:
-    """Nested evaluation of paired_k(x), approximating x*cot(x) at k = 0.
+    """paired_k(x) through level k + pairs: the x*cot(x) stream folded from index 2k.
 
-    Unrolls paired_j = 4j+1 - x^2/(4j+3 - x^2/paired_{j+1}) from j = k
-    through k + pairs.  The innermost paired_{k+pairs+1} is replaced by
-    ``tail`` when one is supplied; otherwise the whole x^2/paired term is
-    dropped (plain truncation).
-
-    Raises DivisionNearZero if an intermediate denominator underflows.
+    The innermost paired_{k+pairs+1} is replaced by ``tail`` when one is
+    supplied, else the x^2/paired term is dropped; at k = 0 it approximates x*cot(x).
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if pairs < 0:
-        raise ValueError(f"pairs must be >= 0, got {pairs}")
-    x = finite_float(x)
-    xx = x * x
-    bottom = k + pairs
-    where = f"paired_value(k={k}, x={x!r})"
-    if tail is None:
-        value = (4 * bottom + 1) - _div(xx, 4 * bottom + 3, where)
-    else:
-        value = (4 * bottom + 1) - _div(xx, (4 * bottom + 3) - _div(xx, tail, where), where)
-    for j in range(bottom - 1, k - 1, -1):
-        value = (4 * j + 1) - _div(xx, (4 * j + 3) - _div(xx, value, where), where)
-    return value
-
-
-def _offset_step(j: int, x: float, inner: float, where: str) -> float:
-    # one level of: 4j+1 - x/(1 - x/(4j+3 + x/inner)), inner = 1 + x/offset_{j+1}
-    mid = (4 * j + 3) + _div(x, inner, where)
-    return (4 * j + 1) - _div(x, 1.0 - _div(x, mid, where), where)
+    if k < 0 or pairs < 0:
+        raise ValueError(f"k and pairs must be >= 0, got k={k}, pairs={pairs}")
+    return _fold(xcot_spec(), finite_float(x), 2 * k, 2 * pairs + 1, tail)
 
 
 def offset_value(k: int, x: float, levels: int, tail: float | None = None) -> float:
-    """Nested evaluation of offset_k(x) = paired_k(x) - x.
+    """offset_k(x) = paired_k(x) - x through level k + levels, folded from index 4k.
 
-    Unrolls offset_j = 4j+1 - x/(1 - x/(4j+3 + x/(1 + x/offset_{j+1})))
-    from j = k through k + levels.  The innermost offset_{k+levels+1} is
-    replaced by ``tail`` when one is supplied; otherwise the innermost
-    x/offset term is dropped.
+    The innermost offset_{k+levels+1} is replaced by ``tail`` when one is
+    supplied; otherwise the innermost x/offset term is dropped.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    x = finite_float(x)
-    bottom = k + levels
-    where = f"offset_value(k={k}, x={x!r})"
-    inner = 1.0 if tail is None else 1.0 + _div(x, tail, where)
-    value = _offset_step(bottom, x, inner, where)
-    for j in range(bottom - 1, k - 1, -1):
-        value = _offset_step(j, x, 1.0 + _div(x, value, where), where)
-    return value
-
-
-def _halved_step(j: int, x: float, inner: float, where: str) -> float:
-    # one level of: 4j+1 - x/(2 - x/(4j+3 + x/inner)), inner = 2 + x/halved_{j+1}
-    mid = (4 * j + 3) + _div(x, inner, where)
-    return (4 * j + 1) - _div(x, 2.0 - _div(x, mid, where), where)
+    if k < 0 or levels < 0:
+        raise ValueError(f"k and levels must be >= 0, got k={k}, levels={levels}")
+    return _fold(_OFFSET, finite_float(x), 4 * k, 4 * levels + 3, tail)
 
 
 def halved_value(k: int, x: float, levels: int, tail: float | None = None) -> float:
-    """Nested evaluation of halved_k(x) = offset_k(x/2).
+    """halved_k(x) = offset_k(x/2) through level k + levels: sec-tan folded from 4k + 1.
 
-    Unrolls halved_j = 4j+1 - x/(2 - x/(4j+3 + x/(2 + x/halved_{j+1})))
-    from j = k through j = k + levels.  The innermost halved_{k+levels+1}
-    is replaced by ``tail``; when no tail is supplied the default estimate
-    4*(k+levels+1)+1 - x/2 (the leading behavior of the recursion at large
-    index) is used instead of plain truncation.
+    The innermost halved_{k+levels+1} is replaced by ``tail``, by default by
+    4*(k+levels+1)+1 - x/2, the recursion's leading behavior at large index.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
+    if k < 0 or levels < 0:
+        raise ValueError(f"k and levels must be >= 0, got k={k}, levels={levels}")
     x = finite_float(x)
-    bottom = k + levels
-    where = f"halved_value(k={k}, x={x!r})"
     if tail is None:
-        tail = (4 * (bottom + 1) + 1) - 0.5 * x
-    value = _halved_step(bottom, x, 2.0 + _div(x, tail, where), where)
-    for j in range(bottom - 1, k - 1, -1):
-        value = _halved_step(j, x, 2.0 + _div(x, value, where), where)
-    return value
+        tail = 4 * (k + levels) + 5 - x / 2
+    return _fold(sec_tan_spec(), x, 4 * k + 1, 4 * levels + 3, tail)
 
 
 def sec_tan(
@@ -171,35 +130,16 @@ def sec_tan(
 ) -> EvalReport:
     """Evaluate sec(x) + tan(x) = 1 + x/halved_0(x) with adaptive depth.
 
-    Deepens halved_value(0, x, levels) over doubling level counts 8, 16,
-    32, ... (each compared against the previous count, the first against
-    levels=4) until two successive evaluations agree within
-    ``target_rel_err`` relatively.  The report's depth field is the level
-    count of the accepted evaluation.
+    Deepens halved_0(x) over doubling level counts L = 8, 16, 32, ... (each
+    compared against the previous count, the first against L = 4) until two
+    successive evaluations agree within ``target_rel_err`` relatively.  Level
+    count L is the sec-tan stream to depth 4L + 4 closed by ``halved_value``'s
+    tail 4L + 5 - x/2.  The report's depth field is the level count.
 
     Raises NoConvergence when ``max_levels`` is passed without agreement
     (e.g. near the poles x = pi/2 + 2*pi*n) and DivisionNearZero when
     halved_0(x) underflows (the true value diverges there).
     """
-    if target_rel_err <= 0:
-        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
-    x = finite_float(x)
-    previous = _headline(x, 4)
-    levels = 8
-    while levels <= max_levels:
-        value = _headline(x, levels)
-        est = relative_difference(value, previous)
-        if est <= target_rel_err:
-            return EvalReport(value=value, depth=levels, est_rel_err=est, method="backward")
-        previous = value
-        levels *= 2
-    raise NoConvergence(
-        f"no agreement within {target_rel_err} up to {max_levels} levels (x={x!r})"
-    )
-
-
-def _headline(x: float, levels: int) -> float:
-    u0 = halved_value(0, x, levels)
-    if abs(u0) < POLE_THRESHOLD:
-        raise DivisionNearZero(f"sec(x) + tan(x) diverges at x={x!r} (denominator underflow)")
-    return 1.0 + x / u0
+    x, spec = finite_float(x), sec_tan_spec()
+    return _deepen(lambda n: eval_backward(spec, x, 4 * n + 4, tail=4 * n + 5 - x / 2),
+                   x, target_rel_err, max_levels)

@@ -121,6 +121,17 @@ def test_usage_errors_exit_1(capsys):
         assert "error" in captured.err
 
 
+@pytest.mark.parametrize("x_text", ["1e400", "-1e400", f"{10**400}/3"])
+@pytest.mark.parametrize(
+    "command", [["eval", "sec-tan"], ["convergents", "xcot"], ["study", "xcot"]]
+)
+def test_x_beyond_float_range_is_usage_error(capsys, command, x_text):
+    code, out, err = run(capsys, *command, f"--x={x_text}")
+    assert code == 1
+    assert out == ""
+    assert "float range" in err and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -232,3 +236,65 @@ NON_FINITE_CALLS = {
 def test_non_finite_x_is_rejected_before_any_term(evaluator, x):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_CALLS[evaluator](x)
+
+
+def test_second_evaluation_generates_no_terms():
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return xcot_spec().termgen(k)
+
+    spec = CfSpec(name="counting", leading=poly(1), termgen=counting)
+    first = eval_backward(spec, 0.7, 40)
+    assert sorted(calls) == list(range(1, 41))
+    calls.clear()
+    assert eval_backward(spec, 0.7, 40) == first
+    assert eval_forward(spec, 0.7, 40)[-1] == pytest.approx(first, rel=1e-14)
+    eval_backward(spec, 0.7, 40, tail=81.0)  # needs index 41
+    assert calls == list(range(41, 83))  # rows 0..40 grow at least twofold
+    calls.clear()
+    eval_lentz(spec, 0.7, 1e-14, 80)
+    eval_adaptive(spec, 0.7, 1e-12, max_depth=64)
+    assert term_at(spec, 80, 0.7) == (-0.7 * 0.7, 161.0)
+    assert calls == []
+
+
+def test_shared_table_under_concurrent_growth():
+    """Eight threads deepen the shared sec-tan table from empty, each in its
+    own order, and get exactly the values of a serial run on a private copy."""
+    spec = sec_tan_spec()
+    assert spec is sec_tan_spec()
+    xs, depths = (0.7, -1.3), range(1, 513)
+    private = sec_tan_spec.__wrapped__()
+    expected = {(x, d): eval_backward(private, x, d) for x in xs for d in depths}
+    object.__setattr__(spec, "_table", array("d"))  # start the shared table over
+    results, errors = [], []
+    start = threading.Barrier(8)
+
+    def worker(seed):
+        order = [(x, d) for x in xs for d in depths]
+        random.Random(seed).shuffle(order)
+        try:
+            start.wait(timeout=60)
+            results.append({(x, d): eval_backward(spec, x, d) for x, d in order})
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8
+    assert all(result == expected for result in results)
+    rows = len(spec._table) // 6  # every row is where a serial fill puts it
+    term_at(private, rows - 1, 0.0)
+    assert rows >= 513 and spec._table == private._table[: 6 * rows]

@@ -1,0 +1,115 @@
+"""Every public float evaluator, pinned bit for bit.
+
+``float_golden.json`` holds, for a fixed grid of calls, each result as
+``float.hex`` (a list of them for ``eval_forward``; value, depth and error
+estimate for an ``EvalReport``) or ``!`` plus the name of the exception the
+call raised.  The table was written by the nested evaluators that
+``sec_tan``, ``paired_value``, ``offset_value`` and ``halved_value`` used
+before they became folds over one term stream, so this test is what holds
+the folds to the same bits.
+
+Regenerate the table only for a deliberate change of values:
+
+    PYTHONPATH=src python tests/test_float_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+from cfrac import (
+    eval_adaptive,
+    eval_backward,
+    eval_forward,
+    eval_lentz,
+    halved_value,
+    offset_value,
+    paired_value,
+    sec_tan,
+    sec_tan_spec,
+    term_at,
+    xcot_spec,
+)
+
+GOLDEN = Path(__file__).with_name("float_golden.json")
+
+SMOOTH = [-1.4, -1.0, -0.5, -0.1, 0.0, 0.3, 0.7, 1.0, 1.3, 1.5]
+LARGE = [-30.0, -4 * math.pi, -2 * math.pi, -5.0, 2.5, 3.0, 7.7, 12.0, 30.0]
+NEAR_POLE = [math.pi / 2] + [math.pi / 2 + s * 2.0**-k for k in (10, 26, 40, 52) for s in (-1, 1)]
+GRID = SMOOTH + LARGE + NEAR_POLE
+
+
+def _encode(result):
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, tuple):
+        return [_encode(v) for v in result]
+    if isinstance(result, list):
+        return [v.hex() for v in result]
+    return [result.value.hex(), result.depth, result.est_rel_err.hex(), result.method]
+
+
+def _calls():
+    """(key, thunk) for every pinned call."""
+    specs = {"sec-tan": sec_tan_spec(), "xcot": xcot_spec()}
+    for x in GRID:
+        h = x.hex()
+        yield f"sec_tan({h})", lambda x=x: sec_tan(x)
+        yield f"sec_tan({h}, 1e-6)", lambda x=x: sec_tan(x, 1e-6)
+        yield f"sec_tan({h}, 1e-12, 8)", lambda x=x: sec_tan(x, max_levels=8)
+        for name, spec in specs.items():
+            yield f"eval_adaptive({name}, {h})", lambda s=spec, x=x: eval_adaptive(s, x, 1e-12)
+            yield f"eval_adaptive({name}, {h}, 1e-6)", lambda s=spec, x=x: eval_adaptive(s, x, 1e-6)
+            yield f"eval_adaptive({name}, {h}, 1e-12, 16)", (
+                lambda s=spec, x=x: eval_adaptive(s, x, 1e-12, max_depth=16))
+            yield f"eval_lentz({name}, {h})", lambda s=spec, x=x: eval_lentz(s, x, 1e-14, 500)
+            yield f"eval_lentz({name}, {h}, 1e-14, 12)", (
+                lambda s=spec, x=x: eval_lentz(s, x, 1e-14, 12))
+            yield f"eval_forward({name}, {h})", lambda s=spec, x=x: eval_forward(s, x, 12)
+            for k in (1, 2, 3, 4):
+                yield f"term_at({name}, {k}, {h})", lambda s=spec, k=k, x=x: term_at(s, k, x)
+            for depth in (1, 5, 32):
+                yield f"eval_backward({name}, {h}, {depth})", (
+                    lambda s=spec, x=x, d=depth: eval_backward(s, x, d))
+                tail = 2 * depth + 3 - x / 2
+                yield f"eval_backward({name}, {h}, {depth}, {tail.hex()})", (
+                    lambda s=spec, x=x, d=depth, t=tail: eval_backward(s, x, d, tail=t))
+        for fn in (paired_value, offset_value, halved_value):
+            for k in (0, 3):
+                for levels in (0, 5):
+                    yield f"{fn.__name__}({k}, {h}, {levels})", (
+                        lambda f=fn, k=k, x=x, n=levels: f(k, x, n))
+                    yield f"{fn.__name__}({k}, {h}, {levels}, 9.5)", (
+                        lambda f=fn, k=k, x=x, n=levels: f(k, x, n, tail=9.5))
+    for name, spec in specs.items():
+        yield f"eval_backward({name}, 1.0, 8, 0.0)", (
+            lambda s=spec: eval_backward(s, 1.0, 8, tail=0.0))
+
+
+def _run(thunk):
+    try:
+        return _encode(thunk())
+    except (ArithmeticError, RuntimeError) as err:  # DivisionNearZero, NoConvergence, ...
+        return "!" + type(err).__name__
+
+
+def test_every_pinned_call_is_bit_identical():
+    golden = json.loads(GOLDEN.read_text())
+    calls = dict(_calls())
+    assert set(calls) == set(golden)
+    mismatches = [key for key, thunk in calls.items() if _run(thunk) != golden[key]]
+    assert not mismatches, mismatches[:10]
+
+
+def test_golden_table_covers_every_outcome():
+    values = json.loads(GOLDEN.read_text()).values()
+    outcomes = {v for v in values if isinstance(v, str) and v.startswith("!")}
+    assert {"!DivisionNearZero", "!NoConvergence"} <= outcomes
+    assert sum(not isinstance(v, str) or not v.startswith("!") for v in values) > 1000
+
+
+if __name__ == "__main__":
+    table = {key: _run(thunk) for key, thunk in _calls()}
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(table.items())]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(table)} entries to {GOLDEN}")
