@@ -16,8 +16,11 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
   methods (boustrophedon triangle and brute-force permutation counting).
 
 Every check is a decision with zero tolerance, never a sample.  Scalars
-are ``fractions.Fraction`` throughout; ``Poly`` and ``RatFunc`` are kept
-deliberately minimal (univariate, dense, never reduced) — no general
+are exact: a coefficient is a plain ``int`` when it is integral and a
+``fractions.Fraction`` only where it is not, so both built-in streams run
+on ints alone (their convergents have integer coefficients), and every
+division yields a ``Fraction``, never a float.  ``Poly`` and ``RatFunc`` are
+kept deliberately minimal (univariate, dense, never reduced) — no general
 computer-algebra ambitions.
 """
 
@@ -48,18 +51,26 @@ class DegenerateConvergent(ArithmeticError):
     """A convergent's denominator Q_n is the zero polynomial."""
 
 
-class Poly:
-    """Dense univariate polynomial over Fraction; coeffs[i] is the x^i coefficient.
+def _exact(c) -> int | Fraction:
+    """c as an exact scalar: an int when it is integral, else a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    Trailing zeros are trimmed on construction, so the zero polynomial has
-    an empty coefficient tuple and every nonzero polynomial has a nonzero
-    leading coefficient.  Instances are immutable.
+
+class Poly:
+    """Dense univariate polynomial with exact coefficients; coeffs[i] is the x^i one.
+
+    Each coefficient is an int when it is integral and a Fraction only
+    otherwise.  Trailing zeros are trimmed on construction, so the zero
+    polynomial has an empty coefficient tuple and every nonzero polynomial
+    has a nonzero leading coefficient.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -76,7 +87,7 @@ class Poly:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+        acc = Fraction(0)  # so the value is a Fraction even at an int x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -102,7 +113,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] += ci * cj
@@ -110,11 +121,12 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         """The polynomial c * self."""
-        return Poly([Fraction(c) * ci for ci in self.coeffs])
+        c = _exact(c)
+        return Poly([c * ci for ci in self.coeffs])
 
     def scale_arg(self, c) -> "Poly":
         """The polynomial self(c * x)."""
-        c = Fraction(c)
+        c = _exact(c)
         return Poly([ci * c**i for i, ci in enumerate(self.coeffs)])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -123,9 +135,9 @@ class Poly:
         rem = list(self.coeffs)
         dlen = len(other.coeffs)
         lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dlen + 1, 0)
+        quot = [0] * max(len(rem) - dlen + 1, 0)
         for i in range(len(rem) - dlen, -1, -1):
-            factor = rem[i + dlen - 1] / lead
+            factor = Fraction(rem[i + dlen - 1]) / lead
             quot[i] = factor
             if factor:
                 for j, c in enumerate(other.coeffs):
@@ -142,7 +154,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, divmod(a, b)[1]
     if a.is_zero:
         return a
-    return a.scale(1 / a.coeffs[-1])
+    return a.scale(1 / Fraction(a.coeffs[-1]))
 
 
 _P_ONE = Poly([1])
@@ -247,26 +259,46 @@ def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
     """The depth-``depth`` convergent P_n/Q_n of ``cf`` as an exact rational function.
 
     Runs the forward three-term recurrence P_k = b_k*P_{k-1} + a_k*P_{k-2}
-    (likewise Q_k) from P_{-1} = 1, P_0 = b0, Q_{-1} = 0, Q_0 = 1 over
-    polynomials, and reduces nothing.  By the determinant formula
-    P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k (Jones & Thron
-    1980), gcd(P_n, Q_n) divides a_1*...*a_n, a power of x for both built-in
-    streams.  Depth is capped at MAX_EXACT_DEPTH to bound coefficient growth.
+    (likewise Q_k) from P_{-1} = 1, P_0 = b0, Q_{-1} = 0, Q_0 = 1 on
+    coefficient lists, and reduces nothing.  Coefficients are ints wherever
+    the terms' are integral (both built-in streams), Fractions otherwise.
+    By the determinant formula P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) *
+    a_1*...*a_k (Jones & Thron 1980), gcd(P_n, Q_n) divides a_1*...*a_n, a
+    power of x for both built-in streams.  Depth is capped at
+    MAX_EXACT_DEPTH to bound coefficient growth.
 
     Raises DegenerateConvergent exactly when Q_n is the zero polynomial.
     """
     if not 1 <= depth <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_EXACT_DEPTH}, got {depth}")
-    p_prev, p = _P_ONE, Poly(cf.leading.coefficients())
-    q_prev, q = Poly(), _P_ONE
+    p_prev, p = [1], list(Poly(cf.leading.coefficients()).coeffs)
+    q_prev, q = [], [1]
     for k in range(1, depth + 1):
         pair = cf.termgen(k)
-        a, b = Poly(pair.a.coefficients()), Poly(pair.b.coefficients())
-        p_prev, p = p, b * p + a * p_prev
-        q_prev, q = q, b * q + a * q_prev
-    if q.is_zero:
+        a, b = _nonzero_terms(pair.a), _nonzero_terms(pair.b)
+        p_prev, p = p, _mul_add(b, p, a, p_prev)
+        q_prev, q = q, _mul_add(b, q, a, q_prev)
+    den = Poly(q)
+    if den.is_zero:
         raise DegenerateConvergent(f"convergent of {cf.name!r} has Q_{depth} = 0")
-    return RatFunc(p, q)
+    return RatFunc(Poly(p), den)
+
+
+def _nonzero_terms(term) -> list[tuple[int, int | Fraction]]:
+    """The (power, coefficient) pairs of a PolyTerm's nonzero monomials."""
+    return [(i, _exact(c)) for i, c in enumerate(term.coefficients()) if c]
+
+
+def _mul_add(b, p: list, a, r: list) -> list:
+    """Coefficient list of b*p + a*r, with b and a given as _nonzero_terms."""
+    out = [0] * (max(len(p), len(r)) + 2)  # a term has degree <= 2
+    for term, poly in ((b, p), (a, r)):
+        for i, c in term:
+            for j, pj in enumerate(poly, i):
+                out[j] += c * pj
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
@@ -284,12 +316,20 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
     d0 = den[0]
     if d0 == 0:
         raise PoleAtOrigin("denominator vanishes at x = 0")
+    # c_i = (num_i - sum_j den_j * c_(i-j)) / d0, with every c_(i-j) brought
+    # over the lcm m of their denominators, so that for int num and den the
+    # sum is all ints and each c_i costs one Fraction (one gcd).
     out: list[Fraction] = []
     for i in range(order + 1):
-        acc = num[i] if i < len(num) else Fraction(0)
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(acc / d0)
+        window = range(1, min(i, len(den) - 1) + 1)
+        m = 1
+        for j in window:
+            m = math.lcm(m, out[i - j].denominator)
+        acc = (num[i] if i < len(num) else 0) * m
+        for j in window:
+            c = out[i - j]
+            acc -= den[j] * c.numerator * (m // c.denominator)
+        out.append(Fraction(acc, m * d0))
     return out
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -52,6 +54,33 @@ def test_poly_arithmetic():
     assert a * b == Poly((0, 1, 2, 3))
     assert a.scale(Fraction(1, 2)) == Poly((Fraction(1, 2), 1, Fraction(3, 2)))
     assert a(Fraction(2)) == 1 + 4 + 12
+
+
+def test_poly_keeps_integral_coefficients_as_ints():
+    scaled = Poly((Fraction(1, 2),)).scale(2)
+    assert scaled.coeffs == (1,) and type(scaled.coeffs[0]) is int
+    assert [type(c) for c in Poly((Fraction(4, 2), Fraction(1, 3), 5)).coeffs] == [int, Fraction, int]
+    assert [type(c) for c in (X * X.scale(Fraction(1, 2)).scale(2)).coeffs] == [int, int, int]
+    # equal and equally hashed whichever exact type a coefficient arrived as
+    assert Poly((Fraction(3), 1)) == Poly((3, 1))
+    assert hash(Poly((Fraction(3), 1))) == hash(Poly((3, 1))) == hash((3, 1))
+
+
+def test_divisions_stay_exact_at_int_coefficients():
+    # int / int would be a float; every division site must give a Fraction
+    quot, rem = divmod(Poly((1,)), Poly((2,)))
+    assert quot.coeffs == (Fraction(1, 2),) and type(quot.coeffs[0]) is Fraction
+    assert rem.is_zero
+    assert divmod(Poly((1, 1)), Poly((3,)))[0].coeffs == (Fraction(1, 3), Fraction(1, 3))
+    monic = poly_gcd(Poly((2, 4)), Poly((0,)))
+    assert monic.coeffs == (Fraction(1, 2), 1)
+    assert [type(c) for c in monic.coeffs] == [Fraction, int]
+    value = RatFunc(Poly((1,)), Poly((3,)))(2)
+    assert value == Fraction(1, 3) and type(value) is Fraction
+    assert type(Poly((1, 1))(2)) is Fraction
+    coeffs = series_from_ratfunc(RatFunc(Poly((1,)), Poly((3, 2))), 6)
+    assert coeffs[:2] == [Fraction(1, 3), Fraction(-2, 9)]
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_poly_scale_arg():
@@ -152,6 +181,57 @@ def test_convergent_exact_matches_float_ladder():
         assert convergent_exact(flat, depth)(Fraction(1)) == value
 
 
+def integer_convergent(stream, depth):
+    """P_depth, Q_depth as int coefficient lists, from the paper's term definitions.
+
+    x*cot(x) = 1 - x^2/(3 - x^2/(5 - ...)); sec(x)+tan(x) = 1 + x/(1 -
+    x/(2 - x/(3 + x/(2 + ...)))), numerators +x, -x, -x, +x repeating and
+    denominators k (odd k) or 2 (even k).
+    """
+    if stream == "xcot":
+        power, a, b = 2, (lambda k: -1), (lambda k: 2 * k + 1)
+    else:
+        power, a, b = 1, (lambda k: 1 if k % 4 in (0, 1) else -1), (lambda k: k if k % 2 else 2)
+
+    def step(k, cur, prev):  # b_k * cur + a_k * x^power * prev
+        out = [0] * max(len(cur), len(prev) + power)
+        for i, c in enumerate(cur):
+            out[i] += b(k) * c
+        for i, c in enumerate(prev):
+            out[i + power] += a(k) * c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    p_prev, p, q_prev, q = [1], [1], [], [1]
+    for k in range(1, depth + 1):
+        p_prev, p = p, step(k, p, p_prev)
+        q_prev, q = q, step(k, q, q_prev)
+    return p, q
+
+
+@pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
+def test_convergent_exact_is_the_integer_recurrence(spec):
+    for depth in range(1, exact.MAX_EXACT_DEPTH + 1):
+        f = convergent_exact(spec, depth)
+        assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs), depth
+        assert (list(f.num.coeffs), list(f.den.coeffs)) == integer_convergent(spec.name, depth)
+
+
+def test_exact_layer_does_not_grow_memory():
+    # guards against allocations that survive a call, such as the block that
+    # CPython 3.11's math.gcd/math.lcm leak on a starred generator argument
+    spec = sec_tan_spec()
+    for _ in range(20):
+        series_from_ratfunc(convergent_exact(spec, 24), 24)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(500):
+        series_from_ratfunc(convergent_exact(spec, 24), 24)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 50
+
+
 def test_convergent_exact_depth_bounds():
     with pytest.raises(ValueError):
         convergent_exact(sec_tan_spec(), 0)
@@ -193,6 +273,37 @@ def test_convergent_exact_matches_inside_out_fold_at_every_depth(spec):
                 continue
             break
         assert convergent_exact(spec, depth)(t) == expected, (depth, t)
+
+
+def reference_series(f, order):
+    """Taylor coefficients by plain Fraction long division (den(0) != 0 assumed)."""
+    num, den = f.num.coeffs, f.den.coeffs
+    out = []
+    for i in range(order + 1):
+        acc = Fraction(num[i] if i < len(num) else 0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out.append(acc / den[0])
+    return out
+
+
+def test_convergent_exact_with_fraction_coefficients():
+    # a_k = x/3, b_k = k + x^2/2: int and Fraction coefficients mixed
+    spec = CfSpec(
+        name="mixed",
+        leading=poly(1, Fraction(1, 3)),
+        termgen=lambda k: TermPair(a=poly(c1=Fraction(1, 3)), b=poly(k, 0, Fraction(1, 2))),
+    )
+    rng = random.Random("mixed")
+    for depth in range(1, 17):
+        f = convergent_exact(spec, depth)
+        assert any(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+        assert all(type(c) in (int, Fraction) for c in f.num.coeffs + f.den.coeffs)
+        t = Fraction(rng.randint(1, 40), rng.randint(1, 20))
+        assert f(t) == inside_out_fold(spec, t, depth), (depth, t)
+        coeffs = series_from_ratfunc(f, 12)
+        assert coeffs == reference_series(f, 12)
+        assert all(type(c) is Fraction for c in coeffs)
 
 
 @pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
