@@ -3,7 +3,9 @@
 Subcommands: eval (single value), convergents (table of successive
 convergents), series (exact Taylor coefficients), verify (exact identity
 suites, each decided rather than sampled), terms (term-stream inspection),
-study (error vs depth).  Output in text, CSV, or JSON.
+study (error vs depth).  Output in text, CSV, or JSON.  The stream names
+come from ``_SPECS``; the verify suites, their order, default levels and
+checks from ``exact.SUITES``.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -39,16 +41,6 @@ DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
-
-# Verification suites in derivation order, with the default highest
-# recursion index (or series order) each one checks.
-_SUITE_DEFAULT_LEVEL = {
-    "pairing": 8,
-    "offset": 5,
-    "halving": 5,
-    "flatten": 3,
-    "series": 12,
-}
 
 
 class UsageError(Exception):
@@ -198,25 +190,14 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _run_suite(name: str, level: int) -> bool:
-    if name == "pairing":
-        return all(exact.verify_pairing(m) for m in range(level + 1))
-    if name == "offset":
-        return all(exact.verify_offset_rewrite(k) for k in range(level + 1))
-    if name == "halving":
-        return all(exact.verify_halving_rewrite(k) for k in range(level + 1))
-    if name == "flatten":
-        return all(exact.verify_flattening(m) for m in range(level + 1))
-    return exact.verify_series(level)
-
-
 def _cmd_verify(args) -> int:
-    names = list(_SUITE_DEFAULT_LEVEL) if args.suite == "all" else [args.suite]
+    suites = exact.SUITES
+    names = list(suites) if args.suite == "all" else [args.suite]
     top = args.max_level
-    levels = {name: _SUITE_DEFAULT_LEVEL[name] if top is None else top for name in names}
+    levels = {name: suites[name].default_level if top is None else top for name in names}
     for name, level in levels.items():  # reject a level before any suite runs
         exact.check_level(name, level)
-    rows = [{"suite": name, "passed": _run_suite(name, level)} for name, level in levels.items()]
+    rows = [{"suite": name, "passed": suites[name].check(level)} for name, level in levels.items()]
     _emit_table(rows, ["suite", "passed"], args.format)
     return 0 if all(row["passed"] for row in rows) else 3
 
@@ -275,7 +256,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a function at a point")
-    p.add_argument("function", choices=["sec-tan", "xcot", "cot"])
+    p.add_argument("function", choices=[*_SPECS, "cot"])
     _add_x_flag(p)
     p.add_argument(
         "--method",
@@ -300,7 +281,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("convergents", help="table of successive convergents")
-    p.add_argument("function", choices=["sec-tan", "xcot"])
+    p.add_argument("function", choices=list(_SPECS))
     _add_x_flag(p)
     p.add_argument("--depth", type=_positive_int, default=16, help="number of convergents (default 16)")
     _add_format_flag(p)
@@ -312,25 +293,25 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", help="run the exact identity-verification suites")
-    p.add_argument("suite", choices=["pairing", "offset", "halving", "flatten", "series", "all"])
+    p.add_argument("suite", choices=[*exact.SUITES, "all"])
+    defaults = ", ".join(f"{name} {suite.default_level}" for name, suite in exact.SUITES.items())
     p.add_argument(
         "--max-level",
         dest="max_level",
         type=_nonneg_int,
-        help="highest recursion index / series order to check "
-        "(defaults: pairing 8, offset 5, halving 5, flatten 3, series 12)",
+        help=f"highest recursion index / series order to check (defaults: {defaults})",
     )
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("terms", help="inspect a term stream")
-    p.add_argument("function", choices=["sec-tan", "xcot"])
+    p.add_argument("function", choices=list(_SPECS))
     p.add_argument("--count", type=_nonneg_int, default=8, help="how many terms (default 8)")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_terms)
 
     p = sub.add_parser("study", help="error vs depth at doubling depths")
-    p.add_argument("function", choices=["sec-tan", "xcot"])
+    p.add_argument("function", choices=list(_SPECS))
     _add_x_flag(p)
     p.add_argument(
         "--max-depth",

@@ -57,18 +57,24 @@ class NoConvergence(RuntimeError):
     """An iteration budget was exhausted before the stopping test passed."""
 
 
+def _exact(c) -> Rational:
+    """c as an exact scalar: an int when it is integral, else a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class PolyTerm:
-    """Polynomial c0 + c1*x + c2*x**2 with exact rational coefficients."""
+    """Polynomial c0 + c1*x + c2*x**2; each coefficient an int if integral, else a Fraction."""
 
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
-    c2: Fraction = Fraction(0)
+    c0: Rational = 0
+    c1: Rational = 0
+    c2: Rational = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        for name in ("c0", "c1", "c2"):
+            object.__setattr__(self, name, _exact(getattr(self, name)))
 
     def __call__(self, x):
         """Evaluate at x.  Exact for int/Fraction x, binary64 for float x."""
@@ -78,7 +84,7 @@ class PolyTerm:
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple[Rational, Rational, Rational]:
         return (self.c0, self.c1, self.c2)
 
     def __str__(self) -> str:
@@ -104,7 +110,7 @@ class PolyTerm:
 
 def poly(c0: Rational = 0, c1: Rational = 0, c2: Rational = 0) -> PolyTerm:
     """Shorthand constructor accepting ints or Fractions."""
-    return PolyTerm(Fraction(c0), Fraction(c1), Fraction(c2))
+    return PolyTerm(c0, c1, c2)
 
 
 @dataclass(frozen=True)

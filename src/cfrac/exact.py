@@ -15,6 +15,11 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
   zigzag(n)/n!, with the zigzag numbers computed by two independent
   methods (boustrophedon triangle and brute-force permutation counting).
 
+Each recursion level is written once, and the next link reuses it
+(``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
+check the same object and the five checks form one chain.  ``SUITES``
+lists them in derivation order with their fold depths and default levels.
+
 Every check is a decision with zero tolerance, never a sample.  Scalars
 are exact: a coefficient is a plain ``int`` when it is integral and a
 ``fractions.Fraction`` only where it is not, so both built-in streams run
@@ -30,9 +35,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .core import CfSpec
+from .core import CfSpec, _exact
 from .expansions import sec_tan_spec, xcot_spec
 
 # Depth ceiling for exact convergents; coefficient growth is the cost driver.
@@ -49,13 +54,6 @@ class PoleAtOrigin(ZeroDivisionError):
 
 class DegenerateConvergent(ArithmeticError):
     """A convergent's denominator Q_n is the zero polynomial."""
-
-
-def _exact(c) -> int | Fraction:
-    """c as an exact scalar: an int when it is integral, else a Fraction."""
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
@@ -286,7 +284,7 @@ def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
 
 def _nonzero_terms(term) -> list[tuple[int, int | Fraction]]:
     """The (power, coefficient) pairs of a PolyTerm's nonzero monomials."""
-    return [(i, _exact(c)) for i, c in enumerate(term.coefficients()) if c]
+    return [(i, c) for i, c in enumerate(term.coefficients()) if c]
 
 
 def _mul_add(b, p: list, a, r: list) -> list:
@@ -393,9 +391,14 @@ def _agree_for_every_tail(
         return False
 
 
+def _paired(k: int, xx: RatFunc, tail) -> RatFunc:
+    # paired recursion unrolled once at x^2 = xx, with paired_{k+1} = tail
+    return (4 * k + 1) - xx / ((4 * k + 3) - xx / tail)
+
+
 def _offset_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
-    # paired recursion unrolled once with its tail set to t + x, shifted by -x
-    return (4 * k + 1) - x * x / ((4 * k + 3) - x * x / (t + x)) - x
+    # paired level with its tail set to t + x, shifted by -x
+    return _paired(k, x * x, t + x) - x
 
 
 def _offset_rhs(k: int, x: RatFunc, t: int) -> RatFunc:
@@ -415,13 +418,12 @@ def verify_offset_rewrite(k: int = 0) -> bool:
 
 
 def _halving_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
-    # offset recursion at argument x/2, with tail t
-    h = x / 2
-    return (4 * k + 1) - h / (1 - h / ((4 * k + 3) + h / (1 + h / t)))
+    # halved_k(x) = offset_k(x/2), with tail t
+    return _offset_rhs(k, x / 2, t)
 
 
-def _halving_rhs(k: int, x: RatFunc, t: int) -> RatFunc:
-    # halved recursion unrolled once with tail t
+def _halving_rhs(k: int, x: RatFunc, t) -> RatFunc:
+    # halved recursion unrolled once with halved_{k+1} = t
     return (4 * k + 1) - x / (2 - x / ((4 * k + 3) + x / (2 + x / t)))
 
 
@@ -434,23 +436,6 @@ def verify_halving_rewrite(k: int = 0) -> bool:
     return _agree_for_every_tail(_halving_lhs, _halving_rhs, k)
 
 
-# Depth of the exact convergent that each suite folds at level m; the tail
-# rewrites fold none.
-_FOLD_DEPTH = {
-    "pairing": lambda m: 2 * m + 1,
-    "flatten": lambda m: 4 * m + 3,
-    "series": lambda order: 2 * order + 3,
-}
-
-
-def check_level(suite: str, level: int) -> None:
-    """Raise ValueError, folding nothing, if checking ``suite`` at ``level``
-    needs a convergent deeper than MAX_EXACT_DEPTH."""
-    depth = _FOLD_DEPTH.get(suite, lambda level: 0)(level)
-    if depth > MAX_EXACT_DEPTH:
-        raise ValueError(f"{suite} level {level} needs exact depth {depth}, past {MAX_EXACT_DEPTH}")
-
-
 def verify_pairing(m: int) -> bool:
     """Check that pair-grouping the x*cot(x) fraction reproduces its convergents.
 
@@ -461,11 +446,11 @@ def verify_pairing(m: int) -> bool:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    plain = convergent_exact(xcot_spec(), _FOLD_DEPTH["pairing"](m))
+    plain = convergent_exact(xcot_spec(), SUITES["pairing"].depth(m))
     xx = RatFunc(Poly([0, 0, 1]))
     paired = (4 * m + 1) - xx / (4 * m + 3)
     for j in range(m - 1, -1, -1):
-        paired = (4 * j + 1) - xx / ((4 * j + 3) - xx / paired)
+        paired = _paired(j, xx, paired)
     return plain == paired
 
 
@@ -481,11 +466,11 @@ def verify_flattening(m: int) -> bool:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    flat = convergent_exact(sec_tan_spec(), _FOLD_DEPTH["flatten"](m))
+    flat = convergent_exact(sec_tan_spec(), SUITES["flatten"].depth(m))
     x = RatFunc.x()
     nested = (4 * m + 1) - x / (2 - x / (4 * m + 3))
     for j in range(m - 1, -1, -1):
-        nested = (4 * j + 1) - x / (2 - x / ((4 * j + 3) + x / (2 + x / nested)))
+        nested = _halving_rhs(j, x, nested)
     return flat == 1 + x / nested
 
 
@@ -497,6 +482,31 @@ def verify_series(order: int) -> bool:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    conv = convergent_exact(sec_tan_spec(), _FOLD_DEPTH["series"](order))
+    conv = convergent_exact(sec_tan_spec(), SUITES["series"].depth(order))
     coeffs = series_from_ratfunc(conv, order)
     return all(c == Fraction(zigzag(n), math.factorial(n)) for n, c in enumerate(coeffs))
+
+
+class Suite(NamedTuple):
+    check: Callable[[int], bool]  # decides levels 0..m (the series: order m)
+    depth: Callable[[int], int]  # exact convergent depth folded at level m
+    default_level: int
+
+
+# The suites in derivation order.  Each check calls its verify_* function
+# through the module-global name, so a replaced one takes effect.
+SUITES = {
+    "pairing": Suite(lambda m: all(verify_pairing(j) for j in range(m + 1)), lambda m: 2 * m + 1, 8),
+    "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
+    "halving": Suite(lambda m: all(verify_halving_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
+    "flatten": Suite(lambda m: all(verify_flattening(j) for j in range(m + 1)), lambda m: 4 * m + 3, 3),
+    "series": Suite(lambda order: verify_series(order), lambda order: 2 * order + 3, 12),
+}
+
+
+def check_level(suite: str, level: int) -> None:
+    """Raise ValueError, folding nothing, if checking ``suite`` at ``level``
+    needs a convergent deeper than MAX_EXACT_DEPTH."""
+    depth = SUITES[suite].depth(level)
+    if depth > MAX_EXACT_DEPTH:
+        raise ValueError(f"{suite} level {level} needs exact depth {depth}, past {MAX_EXACT_DEPTH}")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfrac import exact
+from cfrac import cli, exact, xcot_spec
 from cfrac.cli import main
 
 
@@ -219,6 +219,43 @@ def test_verify_all_passes(capsys):
     assert suites == ["pairing", "offset", "halving", "flatten", "series"]
     for line in lines[1:]:
         assert line.split()[1:] == ["pass"]
+
+
+def test_verify_all_runs_each_suite_of_the_table(capsys, monkeypatch):
+    calls = []
+    for fn, suite in (
+        ("verify_pairing", "pairing"),
+        ("verify_offset_rewrite", "offset"),
+        ("verify_halving_rewrite", "halving"),
+        ("verify_flattening", "flatten"),
+        ("verify_series", "series"),
+    ):
+        def recorded(level, original=getattr(exact, fn), suite=suite):
+            calls.append((suite, level))
+            return original(level)
+
+        monkeypatch.setattr(exact, fn, recorded)
+    code, out, _ = run(capsys, "verify", "all", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == list(exact.SUITES)
+    assert calls == (
+        [("pairing", m) for m in range(9)]
+        + [("offset", k) for k in range(6)]
+        + [("halving", k) for k in range(6)]
+        + [("flatten", m) for m in range(4)]
+        + [("series", 12)]
+    )
+
+
+def test_stream_choices_come_from_the_spec_table(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SPECS, "xcot-again", xcot_spec)
+    for argv in (
+        ["eval", "xcot-again", "--x", "1"],
+        ["convergents", "xcot-again", "--x", "1", "--depth", "2"],
+        ["terms", "xcot-again", "--count", "2"],
+        ["study", "xcot-again", "--x", "1", "--max-depth", "2"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_verify_single_suite_json(capsys):

@@ -53,6 +53,15 @@ def test_polyterm_is_exact_at_rational_points():
     assert isinstance(p(0.5), float)
 
 
+def test_polyterm_stores_ints_where_integral():
+    for term in (poly(3, -2, 0), poly(Fraction(6, 2)), poly(3.0), PolyTerm(c2=Fraction(-4, 4))):
+        assert all(type(c) is int for c in term.coefficients()), term
+    for term in (poly(Fraction(1, 2)), poly(0.5)):
+        assert term.c0 == Fraction(1, 2) and type(term.c0) is Fraction
+    assert poly(1, 2, 3)(2) == 17 and type(poly(1, 2, 3)(2)) is int
+    assert poly(Fraction(6, 2)) == poly(3) and hash(poly(Fraction(6, 2))) == hash(poly(3))
+
+
 def test_polyterm_str():
     assert str(poly(3)) == "3"
     assert str(poly(0)) == "0"

@@ -210,7 +210,20 @@ def integer_convergent(stream, depth):
     return p, q
 
 
-@pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
+def xcot_from_non_int_scalars():
+    """The x*cot(x) stream with its integral coefficients given as Fraction and float."""
+    return CfSpec(
+        name="xcot",
+        leading=poly(Fraction(1)),
+        termgen=lambda k: TermPair(a=poly(c2=-1.0), b=poly(Fraction(4 * k + 2, 2))),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sec_tan_spec(), xcot_spec(), xcot_from_non_int_scalars()],
+    ids=["sec-tan", "xcot", "xcot-non-int"],
+)
 def test_convergent_exact_is_the_integer_recurrence(spec):
     for depth in range(1, exact.MAX_EXACT_DEPTH + 1):
         f = convergent_exact(spec, depth)
@@ -415,6 +428,33 @@ def test_series_detects_off_by_one(monkeypatch):
     original = exact.zigzag
     monkeypatch.setattr(exact, "zigzag", lambda n: original(n) + (1 if n == 3 else 0))
     assert not verify_series(3)
+
+
+def _bad_halving(k, x, t):
+    return (4 * k + 1) - x / (3 - x / ((4 * k + 3) + x / (2 + x / t)))
+
+
+@pytest.mark.parametrize(
+    "level, defect, broken",
+    [
+        ("_paired", lambda original: lambda k, xx, tail: original(k, -xx, tail), {"pairing", "offset"}),
+        ("_offset_rhs", lambda original: lambda k, x, t: original(k, -x, t), {"offset", "halving"}),
+        ("_halving_rhs", lambda original: _bad_halving, {"halving", "flatten"}),
+    ],
+    ids=["paired", "offset", "halved"],
+)
+def test_neighbouring_suites_share_each_recursion_level(monkeypatch, level, defect, broken):
+    # one defect in a level definition breaks the link that builds it and
+    # the link that reuses it, and nothing else
+    checks = {
+        "pairing": lambda: verify_pairing(1),
+        "offset": lambda: verify_offset_rewrite(0),
+        "halving": lambda: verify_halving_rewrite(0),
+        "flatten": lambda: verify_flattening(1),
+        "series": lambda: verify_series(6),
+    }
+    monkeypatch.setattr(exact, level, defect(getattr(exact, level)))
+    assert {name for name, check in checks.items() if not check()} == broken
 
 
 def test_check_level_applies_each_suite_depth_rule():
