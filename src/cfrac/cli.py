@@ -150,17 +150,14 @@ def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
 
 def _cmd_eval(args) -> int:
     x = float(args.x)
-    spec = _SPECS["xcot" if args.function == "cot" else args.function]()
-    report = _evaluate(spec, x, args)
-    value = report.value
-    if args.function == "cot":
-        if abs(x) < POLE_THRESHOLD:
-            raise DivisionNearZero(f"cot(x) is xcot(x)/x and needs x != 0; got x = {args.x}")
-        value = value / x
+    cot = args.function == "cot"
+    if cot and abs(x) < POLE_THRESHOLD:
+        raise DivisionNearZero(f"cot(x) is xcot(x)/x and needs x != 0; got x = {args.x}")
+    report = _evaluate(_SPECS["xcot" if cot else args.function](), x, args)
     record = {
         "function": args.function,
         "x": x,
-        "value": value,
+        "value": report.value / x if cot else report.value,
         "depth": report.depth,
         "est_rel_err": report.est_rel_err,
         "method": report.method,

@@ -16,17 +16,19 @@ modified Lentz iteration with the usual tiny-value guard.  ``eval_adaptive``
 wraps the backward recurrence in a depth-doubling loop with an a posteriori
 relative-error estimate.
 
-Every float evaluator reads the terms from one table per ``CfSpec``: their
-binary64 coefficients, filled from ``termgen`` up to the deepest index used
-so far and evaluated by float Horner, as ``PolyTerm.__call__`` does for a
-float x.  That shared state is safe under concurrent callers because it is
-never changed in place: a longer copy replaces it.
+Every float evaluator reads the terms from one table per ``CfSpec``: six
+columns a0, a1, a2, b0, b1, b2 of binary64 coefficients indexed by k,
+filled from ``termgen`` up to the deepest index used so far.  An evaluator
+unpacks the columns once per call and evaluates each polynomial inline by
+float Horner, as ``PolyTerm.__call__`` does for a float x.  That shared
+state is safe under concurrent callers because it is never changed in
+place: a longer table is built from fresh lists and replaces it in one
+assignment, and a published column is never appended to.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Union
@@ -136,8 +138,9 @@ class CfSpec:
     name: str
     leading: PolyTerm
     termgen: Callable[[int], TermPair]
-    # rows (a0, a1, a2, b0, b1, b2) for k = 0, 1, ..., row 0 holding ``leading`` as b
-    _table: array = field(default_factory=lambda: array("d"), init=False, repr=False, compare=False)
+    # columns (a0, a1, a2, b0, b1, b2) indexed by k = 0, 1, ..., index 0 holding ``leading`` as b
+    _table: tuple = field(
+        default_factory=lambda: ([], [], [], [], [], []), init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,30 +165,30 @@ def finite_float(x) -> float:
     return x
 
 
-def _rows(cf: CfSpec, last: int) -> array:
-    """``cf``'s table through index ``last`` at least; a short table at least doubles."""
+def _rows(cf: CfSpec, last: int) -> tuple[list[float], ...]:
+    """``cf``'s columns through index ``last`` at least; a short table at least doubles."""
     table = cf._table
-    if len(table) > 6 * last:
+    rows = len(table[0])
+    if rows > last:
         return table
-    grown = array("d", table or (0.0, 0.0, 0.0, *map(float, cf.leading.coefficients())))
-    for k in range(len(grown) // 6, max(last, 2 * len(table) // 6) + 1):
+    leading = ([float(c)] for c in cf.leading.coefficients())
+    grown = tuple(map(list, table)) if rows else ([0.0], [0.0], [0.0], *leading)
+    memo = {}  # one float object per value; exact coefficients never give -0.0 or nan
+    for k in range(len(grown[0]), max(last, 2 * rows) + 1):
         pair = cf.termgen(k)
-        grown.extend(map(float, pair.a.coefficients() + pair.b.coefficients()))
+        for column, c in zip(grown, pair.a.coefficients() + pair.b.coefficients()):
+            c = float(c)
+            column.append(memo.setdefault(c, c))
     object.__setattr__(cf, "_table", grown)
     return grown
-
-
-def _at(t: array, i: int, x: float) -> float:
-    """The polynomial whose coefficients start at t[i], at x."""
-    return (t[i + 2] * x + t[i + 1]) * x + t[i]
 
 
 def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
     """Return (a_k(x), b_k(x)) as doubles for k >= 1."""
     if k < 1:
         raise ValueError(f"term index must be >= 1, got {k}")
-    t = _rows(cf, k)
-    return _at(t, 6 * k, x), _at(t, 6 * k + 3, x)
+    a0, a1, a2, b0, b1, b2 = _rows(cf, k)
+    return (a2[k] * x + a1[k]) * x + a0[k], (b2[k] * x + b1[k]) * x + b0[k]
 
 
 def continuation_spec(cf: CfSpec, start: int) -> CfSpec:
@@ -208,15 +211,15 @@ def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = Non
     if tail is not None and abs(tail) < POLE_THRESHOLD:
         raise DivisionNearZero(f"tail estimate {tail!r} is below {POLE_THRESHOLD}")
     end = start + depth
-    t = _rows(cf, end if tail is None else end + 1)
-    r = _at(t, 6 * end + 3, x)
+    a0, a1, a2, b0, b1, b2 = _rows(cf, end if tail is None else end + 1)
+    r = (b2[end] * x + b1[end]) * x + b0[end]
     if tail is not None:
-        r += _at(t, 6 * end + 6, x) / tail
+        r += ((a2[end + 1] * x + a1[end + 1]) * x + a0[end + 1]) / tail
     for k in range(end, start, -1):
         if abs(r) < POLE_THRESHOLD:
             raise DivisionNearZero(f"denominator underflow at index {k} (x={x!r})")
-        i = 6 * k  # b_{k-1} + a_k / r
-        r = ((t[i - 1] * x + t[i - 2]) * x + t[i - 3]) + ((t[i + 2] * x + t[i + 1]) * x + t[i]) / r
+        j = k - 1  # b_j + a_k / r
+        r = ((b2[j] * x + b1[j]) * x + b0[j]) + ((a2[k] * x + a1[k]) * x + a0[k]) / r
     return r
 
 
@@ -264,11 +267,13 @@ def eval_forward(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = finite_float(x)
-    p_prev, p_cur = 1.0, _at(_rows(cf, 0), 3, x)
+    a0, a1, a2, b0, b1, b2 = _rows(cf, depth)
+    p_prev, p_cur = 1.0, (b2[0] * x + b1[0]) * x + b0[0]
     q_prev, q_cur = 0.0, 1.0
     convergents = []
     for n in range(1, depth + 1):
-        a_n, b_n = term_at(cf, n, x)
+        a_n = (a2[n] * x + a1[n]) * x + a0[n]
+        b_n = (b2[n] * x + b1[n]) * x + b0[n]
         p_next = b_n * p_cur + a_n * p_prev
         q_next = b_n * q_cur + a_n * q_prev
         if max(abs(p_next), abs(q_next)) > rescale_threshold:
@@ -309,13 +314,17 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
     if max_terms < 2:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
     x = finite_float(x)
-    f = _at(_rows(cf, 0), 3, x)
+    a0, a1, a2, b0, b1, b2 = _rows(cf, 0)
+    f = (b2[0] * x + b1[0]) * x + b0[0]
     if abs(f) < TINY_GUARD:
         f = TINY_GUARD
     c_prev = f
     d_prev = 0.0
     for j in range(1, max_terms + 1):
-        a_j, b_j = term_at(cf, j, x)
+        if j == len(a0):  # read the columns again, at least twice as long
+            a0, a1, a2, b0, b1, b2 = _rows(cf, j)
+        a_j = (a2[j] * x + a1[j]) * x + a0[j]
+        b_j = (b2[j] * x + b1[j]) * x + b0[j]
         d_cur = b_j + a_j * d_prev
         if abs(d_cur) < TINY_GUARD:
             d_cur = TINY_GUARD

@@ -12,8 +12,10 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 - ``verify_flattening``: the flattened sec-tan term stream reproduces the
   nested halved recursion.
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
-  zigzag(n)/n!, with the zigzag numbers computed by two independent
-  methods (boustrophedon triangle and brute-force permutation counting).
+  zigzag(n)/n!, with the zigzag numbers from ``zigzag`` (the boustrophedon
+  triangle) alone.  ``alternating_count`` counts alternating permutations
+  by brute force; the test suite uses it to cross-check ``zigzag`` for
+  n <= 8.
 
 Each recursion level is written once, and the next link reuses it
 (``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites

@@ -52,12 +52,20 @@ def test_eval_cot_divides_by_x(capsys):
     assert record["value"] == pytest.approx(1 / math.tan(0.5), rel=1e-12)
 
 
-def test_eval_cot_at_zero_is_numeric_error(capsys):
-    code, out, err = run(capsys, "eval", "cot", "--x", "0")
-    assert code == 2
-    assert out == ""
-    assert "DivisionNearZero" in err
-    assert "x = 0" in err
+def test_eval_cot_at_zero_is_numeric_error(capsys, monkeypatch):
+    """cot(0) is rejected before x*cot(x) is evaluated, whatever the method."""
+
+    def evaluator_called(*args):
+        raise AssertionError(f"an evaluator ran for cot at x = 0: {args}")
+
+    for name in ("_fold", "eval_adaptive", "eval_backward", "eval_forward", "eval_lentz"):
+        monkeypatch.setattr(cli, name, evaluator_called)
+    for method in ("adaptive", "backward", "forward", "lentz"):
+        code, out, err = run(capsys, "eval", "cot", "--x", "0", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "DivisionNearZero" in err
+        assert "x = 0" in err
 
 
 def test_eval_rational_x_argument(capsys):

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from array import array
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -269,6 +269,21 @@ def test_second_evaluation_generates_no_terms():
     assert calls == []
 
 
+def test_deep_table_shares_float_objects():
+    """A sec-tan table through index 16388, the depth a sec_tan NoConvergence
+    near a pole reaches, holds at most 100 bytes per row once filled."""
+    spec = sec_tan_spec.__wrapped__()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        term_at(spec, 16388, 0.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(spec._table[0])
+    assert rows == 16389 and held <= 100 * rows
+
+
 def test_shared_table_under_concurrent_growth():
     """Eight threads deepen the shared sec-tan table from empty, each in its
     own order, and get exactly the values of a serial run on a private copy."""
@@ -277,7 +292,7 @@ def test_shared_table_under_concurrent_growth():
     xs, depths = (0.7, -1.3), range(1, 513)
     private = sec_tan_spec.__wrapped__()
     expected = {(x, d): eval_backward(private, x, d) for x in xs for d in depths}
-    object.__setattr__(spec, "_table", array("d"))  # start the shared table over
+    object.__setattr__(spec, "_table", sec_tan_spec.__wrapped__()._table)  # start over, empty
     results, errors = [], []
     start = threading.Barrier(8)
 
@@ -304,6 +319,7 @@ def test_shared_table_under_concurrent_growth():
     assert errors == []
     assert len(results) == 8
     assert all(result == expected for result in results)
-    rows = len(spec._table) // 6  # every row is where a serial fill puts it
+    rows = len(spec._table[0])  # every coefficient is where a serial fill puts it
     term_at(private, rows - 1, 0.0)
-    assert rows >= 513 and spec._table == private._table[: 6 * rows]
+    assert rows >= 513 and all(len(column) == rows for column in spec._table)
+    assert all(column == serial[:rows] for column, serial in zip(spec._table, private._table))

@@ -1,4 +1,4 @@
-"""The study scripts run end to end with tiny arguments."""
+"""The scripts run end to end with tiny arguments."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("tail_acceleration.py", ["--x", "0.8", "--levels", "2"]),
         ("convergence_study.py", ["--max-depth", "4", "--points", "5"]),
+        ("bench_layers.py", [str(ROOT / "src"), "--repeat", "1", "--number", "1"]),
     ],
 )
 def test_study_script_runs(script, args):
