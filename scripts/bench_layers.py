@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
-"""Best-of-N time per call, in microseconds, of each float evaluation layer.
+"""Best-of-N time per call, in microseconds, of float evaluators and CLI requests.
 
 cfrac is imported from the ``src`` directory given on the command line, so
 the same script times any checkout.  Run it once per checkout, alternating
 between them, to compare commits on one machine.  Each layer gets one
 warm-up call, which fills its term table, then ``--repeat`` runs of
-``--number`` calls; the fastest run's mean per call is reported.  Prints
-one JSON object mapping each layer to its time.
+``--number`` calls, or of as many calls as one timed call says fit in
+about 0.2 s if that is fewer; the fastest run's mean per call is reported.
+The CLI requests print into a discarded buffer.  Prints one JSON object
+mapping each layer to its time.
 
 Usage:
     python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_SECONDS = 0.2  # caps one run of a slow layer, such as `cfrac verify all`
 
 
 def layers(cfrac) -> dict:
@@ -34,7 +39,14 @@ def layers(cfrac) -> dict:
     calls["eval_forward(xcot, 0.7, 32)"] = lambda: cfrac.eval_forward(xcot, 0.7, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
+    for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"]):
+        calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cfrac.cli.main, argv)
     return calls
+
+
+def _quiet(main, argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
 
 
 def main() -> None:
@@ -48,13 +60,14 @@ def main() -> None:
     if not (src / "cfrac" / "__init__.py").is_file():
         parser.error(f"no cfrac package under {src}")
     sys.path.insert(0, str(src))
-    import cfrac
+    import cfrac.cli
 
     times = {}
     for name, call in layers(cfrac).items():
         call()
-        best = min(timeit.repeat(call, repeat=args.repeat, number=args.number))
-        times[name] = round(best / args.number * 1e6, 3)
+        number = max(1, min(args.number, int(RUN_SECONDS / timeit.timeit(call, number=1))))
+        best = min(timeit.repeat(call, repeat=args.repeat, number=number))
+        times[name] = round(best / number * 1e6, 3)
     print(json.dumps(times, indent=2))
 
 

@@ -5,7 +5,9 @@ convergents), series (exact Taylor coefficients), verify (exact identity
 suites, each decided rather than sampled), terms (term-stream inspection),
 study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
-checks from ``exact.SUITES``.
+checks from ``exact.SUITES``.  The argparse parser is built once per set of
+stream names and suite levels and reused by every later ``main`` call, so
+a request pays only for its own parsing and work.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -242,6 +245,13 @@ def _add_x_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> _Parser:
+    """The parser for the current stream names and suite levels, built once per set of them."""
+    levels = tuple((name, suite.default_level) for name, suite in exact.SUITES.items())
+    return _parser_for(tuple(_SPECS), levels)
+
+
+@functools.lru_cache(maxsize=4)  # a new key only when _SPECS or a suite level changes
+def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -> _Parser:
     parser = _Parser(
         prog="cfrac",
         description=(
@@ -253,7 +263,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a function at a point")
-    p.add_argument("function", choices=[*_SPECS, "cot"])
+    p.add_argument("function", choices=[*streams, "cot"])
     _add_x_flag(p)
     p.add_argument(
         "--method",
@@ -278,7 +288,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("convergents", help="table of successive convergents")
-    p.add_argument("function", choices=list(_SPECS))
+    p.add_argument("function", choices=streams)
     _add_x_flag(p)
     p.add_argument("--depth", type=_positive_int, default=16, help="number of convergents (default 16)")
     _add_format_flag(p)
@@ -290,8 +300,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", help="run the exact identity-verification suites")
-    p.add_argument("suite", choices=[*exact.SUITES, "all"])
-    defaults = ", ".join(f"{name} {suite.default_level}" for name, suite in exact.SUITES.items())
+    p.add_argument("suite", choices=[*dict(levels), "all"])
+    defaults = ", ".join(f"{name} {level}" for name, level in levels)
     p.add_argument(
         "--max-level",
         dest="max_level",
@@ -302,13 +312,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("terms", help="inspect a term stream")
-    p.add_argument("function", choices=list(_SPECS))
+    p.add_argument("function", choices=streams)
     p.add_argument("--count", type=_nonneg_int, default=8, help="how many terms (default 8)")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_terms)
 
     p = sub.add_parser("study", help="error vs depth at doubling depths")
-    p.add_argument("function", choices=list(_SPECS))
+    p.add_argument("function", choices=streams)
     _add_x_flag(p)
     p.add_argument(
         "--max-depth",

@@ -61,6 +61,8 @@ class NoConvergence(RuntimeError):
 
 def _exact(c) -> Rational:
     """c as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(c) is int:  # the common case; bool and int subclasses are normalised below
+        return c
     if not isinstance(c, (int, Fraction)):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c

@@ -351,3 +351,39 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "1.0" in proc.stdout
+
+
+REUSE_SEQUENCE = (
+    ["eval", "sec-tan", "--x", "0.7", "--method", "lentz", "--format", "json"],
+    ["eval", "cot", "--x=1/2"],
+    ["convergents", "xcot", "--x", "1", "--depth", "3", "--format", "csv"],
+    ["series", "--order", "4"],
+    ["verify", "offset", "--max-level", "2"],
+    ["terms", "sec-tan", "--count", "3"],
+    ["study", "xcot", "--x", "0.5", "--max-depth", "4"],
+    ["eval", "xcot", "--x", "1..5"],
+    ["verify", "flatten", "--max-level", "16"],
+    ["verify", "nosuch"],
+    ["eval", "--help"],
+)
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys, monkeypatch):
+    cli._parser_for.cache_clear()
+    reused = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
+    info = cli._parser_for.cache_info()
+    assert (info.misses, info.hits) == (1, len(REUSE_SEQUENCE) - 1)
+    monkeypatch.setattr(cli, "_parser_for", cli._parser_for.__wrapped__)  # a new parser per call
+    fresh = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0] * 7 + [1] * 3 + [0]
+
+
+def test_stream_added_after_a_request_is_accepted_until_removed(capsys, monkeypatch):
+    assert run(capsys, "terms", "xcot", "--count", "2")[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._SPECS, "xcot-again", xcot_spec)
+        code, out, _ = run(capsys, "terms", "xcot-again", "--count", "2")
+        assert code == 0 and out == run(capsys, "terms", "xcot", "--count", "2")[1]
+    code, out, err = run(capsys, "terms", "xcot-again", "--count", "2")
+    assert code == 1 and out == "" and "invalid choice: 'xcot-again'" in err

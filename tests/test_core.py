@@ -14,6 +14,7 @@ from cfrac import (
     PolyTerm,
     TermPair,
     continuation_spec,
+    core,
     eval_adaptive,
     eval_backward,
     eval_forward,
@@ -60,6 +61,14 @@ def test_polyterm_stores_ints_where_integral():
         assert term.c0 == Fraction(1, 2) and type(term.c0) is Fraction
     assert poly(1, 2, 3)(2) == 17 and type(poly(1, 2, 3)(2)) is int
     assert poly(Fraction(6, 2)) == poly(3) and hash(poly(Fraction(6, 2))) == hash(poly(3))
+
+
+def test_polyterm_normalises_bool_and_int_subclasses():
+    class Count(int):
+        pass
+
+    for c in (True, Count(3)):
+        assert type(poly(c).c0) is int and poly(c) == poly(int(c))
 
 
 def test_polyterm_str():
@@ -323,3 +332,18 @@ def test_shared_table_under_concurrent_growth():
     term_at(private, rows - 1, 0.0)
     assert rows >= 513 and all(len(column) == rows for column in spec._table)
     assert all(column == serial[:rows] for column, serial in zip(spec._table, private._table))
+
+
+def test_table_growth_leaves_published_columns_untouched():
+    """A reader holding the published columns keeps them whole while the
+    table grows: growth copies into new lists and never appends in place."""
+    spec = sec_tan_spec()
+    core._rows(spec, 8)
+    published = spec._table
+    rows = len(published[0])
+    snapshot = [list(column) for column in published]
+    grown = core._rows(spec, 2 * rows)
+    assert grown is spec._table and len(grown[0]) > 2 * rows
+    assert [list(column) for column in published] == snapshot
+    assert all(len(column) == rows for column in published)
+    assert not {id(column) for column in grown} & {id(column) for column in published}
