@@ -6,8 +6,11 @@ suites, each decided rather than sampled), terms (term-stream inspection),
 study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
 checks from ``exact.SUITES``.  The argparse parser is built once per set of
-stream names and suite levels and reused by every later ``main`` call, so
-a request pays only for its own parsing and work.
+stream names and suite levels and reused by every later ``main`` call in
+the same process; only a process that calls ``main`` more than once (a
+program or benchmark driving the CLI in a loop) gains from this, while a
+one-shot ``cfrac`` run still builds its one parser.  Handlers are looked up
+by name on every call, so a patched ``_cmd_*`` function runs.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -285,19 +288,16 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
         help="target relative error for adaptive/lentz (default 1e-12)",
     )
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("convergents", help="table of successive convergents")
     p.add_argument("function", choices=streams)
     _add_x_flag(p)
     p.add_argument("--depth", type=_positive_int, default=16, help="number of convergents (default 16)")
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_convergents)
 
     p = sub.add_parser("series", help="exact Taylor coefficients of sec(x)+tan(x)")
     p.add_argument("--order", type=_nonneg_int, default=12, help="highest order to print (default 12)")
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", help="run the exact identity-verification suites")
     p.add_argument("suite", choices=[*dict(levels), "all"])
@@ -309,13 +309,11 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
         help=f"highest recursion index / series order to check (defaults: {defaults})",
     )
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("terms", help="inspect a term stream")
     p.add_argument("function", choices=streams)
     p.add_argument("--count", type=_nonneg_int, default=8, help="how many terms (default 8)")
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_terms)
 
     p = sub.add_parser("study", help="error vs depth at doubling depths")
     p.add_argument("function", choices=streams)
@@ -328,7 +326,6 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
         help="largest truncation depth (default 64)",
     )
     _add_format_flag(p)
-    p.set_defaults(handler=_cmd_study)
 
     return parser
 
@@ -342,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits directly for --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (DivisionNearZero, NoConvergence) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2

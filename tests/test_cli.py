@@ -387,3 +387,16 @@ def test_stream_added_after_a_request_is_accepted_until_removed(capsys, monkeypa
         assert code == 0 and out == run(capsys, "terms", "xcot", "--count", "2")[1]
     code, out, err = run(capsys, "terms", "xcot-again", "--count", "2")
     assert code == 1 and out == "" and "invalid choice: 'xcot-again'" in err
+
+
+def test_handler_patched_after_a_request_runs(capsys, monkeypatch):
+    assert run(capsys, "verify", "offset", "--max-level", "1")[0] == 0  # caches a parser
+    seen = []
+
+    def patched(args):
+        seen.append((args.suite, args.max_level))
+        return 3
+
+    monkeypatch.setattr(cli, "_cmd_verify", patched)
+    assert run(capsys, "verify", "offset", "--max-level", "1") == (3, "", "")
+    assert seen == [("offset", 1)]
