@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Best-of-N time per call, in microseconds, of float evaluators and CLI requests.
+"""Best-of-N time per call, in microseconds, of float evaluators, exact layers and CLI requests.
 
 cfrac is imported from the ``src`` directory given on the command line, so
 the same script times any checkout.  Run it once per checkout, alternating
@@ -39,7 +39,14 @@ def layers(cfrac) -> dict:
     calls["eval_forward(xcot, 0.7, 32)"] = lambda: cfrac.eval_forward(xcot, 0.7, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
-    for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"]):
+    exact = cfrac.exact
+    for spec, depth, order in ((flat, 60, 60), (xcot, 33, 67)):
+        f = exact.convergent_exact(spec, depth)  # built outside the timed series call
+        calls[f"convergent_exact({spec.name}, {depth})"] = (
+            lambda s=spec, d=depth: exact.convergent_exact(s, d))
+        calls[f"series_from_ratfunc({spec.name} {depth}, {order})"] = (
+            lambda f=f, o=order: exact.series_from_ratfunc(f, o))
+    for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
         calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cfrac.cli.main, argv)
     return calls
 

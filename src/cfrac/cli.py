@@ -185,10 +185,10 @@ def _cmd_convergents(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    rows = []
-    for n in range(args.order + 1):
-        z = exact.zigzag(n)
-        rows.append({"n": n, "zigzag": z, "coefficient": str(Fraction(z, factorial(n)))})
+    rows = [
+        {"n": n, "zigzag": z, "coefficient": str(Fraction(z, factorial(n)))}
+        for n, z in enumerate(exact._zigzags(args.order))  # one triangle for every row
+    ]
     _emit_table(rows, ["n", "zigzag", "coefficient"], args.format)
     return 0
 

@@ -306,30 +306,42 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
 
     Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  The power of x that
     divides both numerator and denominator is cancelled first; PoleAtOrigin
-    is raised when the denominator still vanishes at 0.
+    is raised when the denominator still vanishes at 0.  Fraction
+    coefficients are cleared once, by the lcm of their denominators, and the
+    division runs on ints over one running common denominator.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     num, den = f.num.coeffs, f.den.coeffs
     while den[0] == 0 and (not num or num[0] == 0):  # den is nonzero, so this stops
         num, den = num[1:], den[1:]
-    d0 = den[0]
-    if d0 == 0:
+    if den[0] == 0:
         raise PoleAtOrigin("denominator vanishes at x = 0")
-    # c_i = (num_i - sum_j den_j * c_(i-j)) / d0, with every c_(i-j) brought
-    # over the lcm m of their denominators, so that for int num and den the
-    # sum is all ints and each c_i costs one Fraction (one gcd).
-    out: list[Fraction] = []
+    s = functools.reduce(math.lcm, [c.denominator for c in num + den], 1)
+    if s > 1:  # a Fraction coefficient: scale num and den to ints
+        num, den = ([c.numerator * (s // c.denominator) for c in p] for p in (num, den))
+    # c_i = (num_i - sum_j den_j * c_(i-j)) / den_0, summed over the nonzero
+    # taps den_j in ints: m is the lcm of the denominators of c_0..c_(i-1) and
+    # w[k] = c_k * m.  The Fraction constructor reduces each c_i once; a new
+    # factor of m rescales the last deg(den) w, the only ones read again.
+    taps = [(j, dj) for j, dj in enumerate(den) if j and dj]
+    deg = len(den) - 1
+    m, w, out = 1, [], []
     for i in range(order + 1):
-        window = range(1, min(i, len(den) - 1) + 1)
-        m = 1
-        for j in window:
-            m = math.lcm(m, out[i - j].denominator)
         acc = (num[i] if i < len(num) else 0) * m
-        for j in window:
-            c = out[i - j]
-            acc -= den[j] * c.numerator * (m // c.denominator)
-        out.append(Fraction(acc, m * d0))
+        for j, dj in taps:
+            if j > i:
+                break
+            acc -= dj * w[i - j]
+        c = Fraction(acc, m * den[0])  # reduced, with a positive denominator
+        out.append(c)
+        q = c.denominator
+        new = q // math.gcd(m, q)
+        if new != 1:
+            m *= new
+            for k in range(max(i - deg + 1, 0), i):
+                w[k] *= new
+        w.append(c.numerator * (m // q))
     return out
 
 
@@ -341,13 +353,16 @@ def zigzag(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0]
-        for i in range(m):
-            row.append(row[-1] + prev[m - 1 - i])
-    return row[-1]
+    return _zigzags(n)[-1]
+
+
+def _zigzags(n: int) -> list[int]:
+    """[zigzag(0), ..., zigzag(n)] from one pass of the triangle; row m ends in zigzag(m)."""
+    row, out = [1], [1]
+    for _ in range(n):  # row m: 0, then running sums of row m-1 read right to left
+        row = list(itertools.accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return out
 
 
 def alternating_count(n: int) -> int:

@@ -200,6 +200,17 @@ def test_series_json(capsys):
     assert rows[5] == {"n": 5, "zigzag": 16, "coefficient": "2/15"}
 
 
+def test_series_builds_the_zigzag_triangle_once(capsys, monkeypatch):
+    calls = []
+    original = exact._zigzags
+    monkeypatch.setattr(exact, "_zigzags", lambda n: calls.append(n) or original(n))
+    monkeypatch.setattr(exact, "zigzag", None)  # no row asks for its own triangle
+    code, out, _ = run(capsys, "series", "--order", "30", "--format", "csv")
+    assert code == 0 and calls == [30]
+    z30 = original(30)[-1]
+    assert out.splitlines()[-1] == f"30,{z30},{Fraction(z30, math.factorial(30))}"
+
+
 def test_terms_xcot(capsys):
     code, out, _ = run(capsys, "terms", "xcot", "--count", "3", "--format", "csv")
     assert code == 0

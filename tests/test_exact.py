@@ -2,7 +2,7 @@ import gc
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -329,10 +329,37 @@ def test_series_from_ratfunc():
     geometric = RatFunc(ONE, ONE - X)
     assert series_from_ratfunc(geometric, 4) == [1, 1, 1, 1, 1]
     assert series_from_ratfunc(RatFunc(X + ONE), 2) == [1, 1, 0]
+    assert series_from_ratfunc(RatFunc(ONE, Poly((1, 0, -1))), 5) == [1, 0, 1, 0, 1, 0]
+    assert series_from_ratfunc(RatFunc(ONE, Poly((-2, 1))), 3) == [
+        Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 8), Fraction(-1, 16)]
     with pytest.raises(PoleAtOrigin):
         series_from_ratfunc(RatFunc(ONE, X), 3)
     with pytest.raises(ValueError):
         series_from_ratfunc(geometric, -1)
+
+
+@pytest.mark.parametrize(
+    "f, order",
+    [
+        (RatFunc(ONE, Poly((1, 0, -1))), 7),  # zero taps: 1/(1 - x^2)
+        (RatFunc(ONE, Poly((-2, 1))), 5),  # negative den_0
+        (RatFunc(Poly((1, Fraction(1, 3))), Poly((Fraction(-2, 3), 0, Fraction(5, 7)))), 9),
+        (RatFunc(X * X * (X + ONE), X * X * Poly((3, -1, 0, 4))), 8),  # shared x^2
+        (RatFunc(Poly((2,)), Poly((3, 1, 1))), 12),  # order past len(num)
+        (RatFunc(Poly(()), Poly((-5, 1))), 4),  # zero numerator
+        (RatFunc(Poly(()), X * X), 3),
+        (convergent_exact(xcot_spec(), 33), 67),  # every odd tap of den is zero
+    ],
+    ids=["zero-taps", "negative-d0", "fraction-coeffs", "shared-x-power", "past-num", "zero-num",
+         "zero-num-over-x2", "xcot-33"],
+)
+def test_series_is_long_division(f, order):
+    coeffs = series_from_ratfunc(f, order)
+    num, den = f.num.coeffs, f.den.coeffs
+    while den[0] == 0:  # every case shares its power of x
+        num, den = num[1:], den[1:]
+    assert coeffs == reference_series(RatFunc(Poly(num), Poly(den)), order)
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_series_of_deep_convergent():
@@ -344,6 +371,15 @@ def test_zigzag_table():
     assert [zigzag(n) for n in range(13)] == ZIGZAG
     with pytest.raises(ValueError):
         zigzag(-1)
+
+
+def test_zigzags_is_every_zigzag_from_one_triangle():
+    for n in range(41):
+        assert exact._zigzags(n) == [zigzag(i) for i in range(n + 1)]
+    # and, apart from the triangle: 2 A(n+1) = sum_k C(n, k) A(k) A(n-k) for n >= 1
+    a = exact._zigzags(40)
+    for n in range(1, 40):
+        assert 2 * a[n + 1] == sum(comb(n, k) * a[k] * a[n - k] for k in range(n + 1)), n
 
 
 def test_zigzag_matches_brute_force_count():

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfrac import (
     Poly,
+    PoleAtOrigin,
     PolyTerm,
     RatFunc,
     alternating_count,
@@ -24,6 +26,29 @@ nonzero_ratfuncs = ratfuncs.filter(lambda f: not f.is_zero)
 origin_regular = ratfuncs.filter(lambda f: f.den(Fraction(0)) != 0)
 
 common = settings(max_examples=100, deadline=None)
+
+# series inputs: the Fraction/int mix of `polys`, longer int polys, and
+# polys whose nonzero coefficients are all proper Fractions
+int_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=8).map(Poly)
+proper_fracs = fracs.filter(lambda c: c.denominator > 1)
+fraction_polys = st.lists(st.one_of(st.just(0), proper_fracs), max_size=6).map(Poly)
+series_polys = st.one_of(polys, int_polys, fraction_polys)
+
+
+def long_division(f, order):
+    """Taylor coefficients of f by plain Fraction long division, or None at a pole."""
+    num, den = list(f.num.coeffs), list(f.den.coeffs)
+    while den[0] == 0 and (not num or num[0] == 0):
+        num, den = num[1:], den[1:]
+    if den[0] == 0:
+        return None
+    out = []
+    for i in range(order + 1):
+        acc = Fraction(num[i] if i < len(num) else 0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out.append(acc / den[0])
+    return out
 
 
 @common
@@ -84,6 +109,22 @@ def test_series_extraction_is_a_ring_morphism(f, g):
     product = series_from_ratfunc(f * g, order)
     cauchy = [sum(sf[i] * sg[n - i] for i in range(n + 1)) for n in range(order + 1)]
     assert product == cauchy
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_polys, series_polys.filter(lambda p: not p.is_zero),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=12))
+def test_series_equals_fraction_long_division(num, den, shift, order):
+    x_shift = Poly([0] * shift + [1])
+    f = RatFunc(num * x_shift, den * x_shift)
+    expected = long_division(f, order)
+    if expected is None:
+        with pytest.raises(PoleAtOrigin):
+            series_from_ratfunc(f, order)
+        return
+    coeffs = series_from_ratfunc(f, order)
+    assert coeffs == expected
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 @common
