@@ -306,9 +306,8 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
 
     Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  The power of x that
     divides both numerator and denominator is cancelled first; PoleAtOrigin
-    is raised when the denominator still vanishes at 0.  Fraction
-    coefficients are cleared once, by the lcm of their denominators, and the
-    division runs on ints over one running common denominator.
+    is raised when the denominator still vanishes at 0.  The division keeps
+    one running common denominator of the coefficients found so far.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -317,13 +316,11 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
         num, den = num[1:], den[1:]
     if den[0] == 0:
         raise PoleAtOrigin("denominator vanishes at x = 0")
-    s = functools.reduce(math.lcm, [c.denominator for c in num + den], 1)
-    if s > 1:  # a Fraction coefficient: scale num and den to ints
-        num, den = ([c.numerator * (s // c.denominator) for c in p] for p in (num, den))
     # c_i = (num_i - sum_j den_j * c_(i-j)) / den_0, summed over the nonzero
-    # taps den_j in ints: m is the lcm of the denominators of c_0..c_(i-1) and
-    # w[k] = c_k * m.  The Fraction constructor reduces each c_i once; a new
-    # factor of m rescales the last deg(den) w, the only ones read again.
+    # taps den_j: m is the lcm of the denominators of c_0..c_(i-1) and
+    # w[k] = c_k * m is an int, so for int num and den the sum is all ints.
+    # The Fraction constructor reduces each c_i once; a new factor of m
+    # rescales the last deg(den) w, the only ones read again.
     taps = [(j, dj) for j, dj in enumerate(den) if j and dj]
     deg = len(den) - 1
     m, w, out = 1, [], []
