@@ -7,8 +7,9 @@ between them, to compare commits on one machine.  Each layer gets one
 warm-up call, which fills its term table, then ``--repeat`` runs of
 ``--number`` calls, or of as many calls as one timed call says fit in
 about 0.2 s if that is fewer; the fastest run's mean per call is reported.
-The CLI requests print into a discarded buffer.  Prints one JSON object
-mapping each layer to its time.
+Each suite of ``exact.SUITES`` is timed at its default level, and the CLI
+requests print into a discarded buffer.  Prints one JSON object mapping
+each layer to its time.
 
 Usage:
     python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
@@ -46,6 +47,9 @@ def layers(cfrac) -> dict:
             lambda s=spec, d=depth: exact.convergent_exact(s, d))
         calls[f"series_from_ratfunc({spec.name} {depth}, {order})"] = (
             lambda f=f, o=order: exact.series_from_ratfunc(f, o))
+    for name, suite in exact.SUITES.items():
+        calls[f"exact.SUITES[{name}].check({suite.default_level})"] = (
+            lambda s=suite: s.check(s.default_level))
     for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
         calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cfrac.cli.main, argv)
     return calls

@@ -12,15 +12,19 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 - ``verify_flattening``: the flattened sec-tan term stream reproduces the
   nested halved recursion.
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
-  zigzag(n)/n!, with the zigzag numbers from ``zigzag`` (the boustrophedon
-  triangle) alone.  ``alternating_count`` counts alternating permutations
+  zigzag(n)/n!, with the zigzag numbers from one boustrophedon triangle
+  (``_zigzags``) alone.  ``alternating_count`` counts alternating permutations
   by brute force; the test suite uses it to cross-check ``zigzag`` for
   n <= 8.
 
-Each recursion level is written once, and the next link reuses it
-(``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
-check the same object and the five checks form one chain.  ``SUITES``
-lists them in derivation order with their fold depths and default levels.
+Each recursion level is written once, as a list of Moebius factors (2x2
+matrices of ``Poly``s acting on a tail value t: the step t -> b + a/t of a
+continued fraction, Jones & Thron 1980, or, in the offset link only, the
+shift t -> t + c), and the next link reuses it (``_paired``,
+``_offset_rhs``, ``_halving_rhs``), so neighbouring suites check the same
+object and the five checks form one chain.  ``_fold`` applies a list
+inside-out to a (num, den) pair.  ``SUITES`` lists the suites in derivation
+order with their fold depths and default levels.
 
 Every check is a decision with zero tolerance, never a sample.  Scalars
 are exact: a coefficient is a plain ``int`` when it is integral and a
@@ -33,7 +37,6 @@ computer-algebra ambitions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -124,11 +127,6 @@ class Poly:
         c = _exact(c)
         return Poly([c * ci for ci in self.coeffs])
 
-    def scale_arg(self, c) -> "Poly":
-        """The polynomial self(c * x)."""
-        c = _exact(c)
-        return Poly([ci * c**i for i, ci in enumerate(self.coeffs)])
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
@@ -157,31 +155,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / Fraction(a.coeffs[-1]))
 
 
+_P_ZERO = Poly()
 _P_ONE = Poly([1])
-
-
-def _coerced(op):
-    """Let a binary RatFunc method take an int or Fraction operand as a constant."""
-
-    @functools.wraps(op)
-    def method(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
-        return op(self, other)
-
-    return method
+_X = Poly([0, 1])
 
 
 class RatFunc:
     """Quotient num/den of two Polys with a nonzero denominator, kept as built.
 
-    Nothing is reduced, so one function has many representations: ``==``
-    decides equality by cross-multiplication, num * other.den ==
-    other.num * den.  Arithmetic and ``==`` accept int and Fraction operands
-    on either side.  Unhashable, since equal functions need not have equal
-    parts.
+    A value with no arithmetic of its own (the suites fold Moebius factors
+    on (num, den) pairs instead).  Nothing is reduced, so one function has
+    many representations: ``==`` decides equality with another RatFunc by
+    cross-multiplication, num * other.den == other.num * den.  Unhashable,
+    since equal functions need not have equal parts.
     """
 
     __slots__ = ("num", "den")
@@ -195,61 +181,13 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Poly([c]))
-
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly([0, 1]))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __call__(self, x: Fraction) -> Fraction:
         return self.num(x) / self.den(x)
 
-    @_coerced
-    def __eq__(self, other: "RatFunc") -> bool:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatFunc):
+            return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    @_coerced
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    @_coerced
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    @_coerced
-    def __rsub__(self, other: "RatFunc") -> "RatFunc":
-        return other + (-self)
-
-    @_coerced
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    @_coerced
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise DivisionByZeroFunction("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    @_coerced
-    def __rtruediv__(self, other: "RatFunc") -> "RatFunc":
-        return other / self
-
-    def scale_arg(self, c) -> "RatFunc":
-        """The function x -> self(c * x)."""
-        return RatFunc(self.num.scale_arg(c), self.den.scale_arg(c))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -378,74 +316,97 @@ def alternating_count(n: int) -> int:
     return count
 
 
-# Tail values at which the two sides of a tail rewrite are compared.
-_TAIL_POINTS = (1, 2, 3)
+# A Moebius factor ((a, b), (c, d)) maps a tail value t to (a*t + b)/(c*t + d).
+_Factor = tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
+
+
+def _step(b: int, a: Poly) -> _Factor:
+    """The factor t -> b + a/t, one term of a continued fraction."""
+    return (Poly([b]), a), (_P_ONE, _P_ZERO)
+
+
+def _shift(c: Poly) -> _Factor:
+    """The factor t -> t + c."""
+    return (_P_ONE, c), (_P_ZERO, _P_ONE)
+
+
+def _fold(factors: list[_Factor], num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Apply ``factors`` to the tail num/den, innermost (last) first; a (num, den) pair.
+
+    Projective: nothing is divided, so a factor that meets a zero
+    denominator still gives a pair, and (1, 0) stands for t = infinity.
+    """
+    for (a, b), (c, d) in reversed(factors):
+        num, den = a * num + b * den, c * num + d * den
+    return num, den
 
 
 def _agree_for_every_tail(
-    lhs: Callable[[int, RatFunc, int], RatFunc],
-    rhs: Callable[[int, RatFunc, int], RatFunc],
+    lhs: Callable[[int, Poly], list[_Factor]],
+    rhs: Callable[[int, Poly], list[_Factor]],
     k: int,
 ) -> bool:
-    """Decide lhs(k, x, t) == rhs(k, x, t) as rational functions of x and t.
+    """Decide lhs(k, x) == rhs(k, x) as rational functions of x and the tail t.
 
-    x is the indeterminate RatFunc.x(), and t enters each side once, so each
-    side is a Moebius map (alpha*t + beta)/(gamma*t + delta) over the rational
-    functions of x.  Cross-multiplied, the two sides differ by a polynomial
-    of degree <= 2 in t, which is zero once it vanishes at the three points
-    of _TAIL_POINTS.  A division by the zero function at one of those points
-    makes the check fail, never pass.
+    Each side is a factor list at the indeterminate x, so it is a Moebius
+    map in t whose entries are polynomials in x: folded onto t = infinity,
+    the pair (1, 0), and onto t = 0, the pair (0, 1), lhs gives the columns
+    (a, c) and (b, d) of t -> (a*t + b)/(c*t + d), and rhs likewise (p, r)
+    and (q, s).  Cross-multiplied, the sides differ by (a*r - p*c)*t^2 +
+    (a*s + b*r - p*d - q*c)*t + (b*s - q*d), so they agree for every t
+    exactly when these three coefficients are the zero polynomial.  A side
+    whose denominator is the zero polynomial fails the check.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    x = RatFunc.x()
-    try:
-        return all(lhs(k, x, t) == rhs(k, x, t) for t in _TAIL_POINTS)
-    except DivisionByZeroFunction:
+    tails = ((_P_ONE, _P_ZERO), (_P_ZERO, _P_ONE))  # t = infinity, t = 0
+    (a, c), (b, d), (p, r), (q, s) = (_fold(side(k, _X), *t) for side in (lhs, rhs) for t in tails)
+    if (c.is_zero and d.is_zero) or (r.is_zero and s.is_zero):
         return False
+    return a * r == p * c and a * s + b * r == p * d + q * c and b * s == q * d
 
 
-def _paired(k: int, xx: RatFunc, tail) -> RatFunc:
-    # paired recursion unrolled once at x^2 = xx, with paired_{k+1} = tail
-    return (4 * k + 1) - xx / ((4 * k + 3) - xx / tail)
+def _paired(k: int, xx: Poly) -> list[_Factor]:
+    # paired level at x^2 = xx: 4k+1 - xx/(4k+3 - xx/t), with t = paired_{k+1}
+    return [_step(4 * k + 1, -xx), _step(4 * k + 3, -xx)]
 
 
-def _offset_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
+def _offset_lhs(k: int, x: Poly) -> list[_Factor]:
     # paired level with its tail set to t + x, shifted by -x
-    return _paired(k, x * x, t + x) - x
+    return [_shift(-x), *_paired(k, x * x), _shift(x)]
 
 
-def _offset_rhs(k: int, x: RatFunc, t: int) -> RatFunc:
-    # offset recursion unrolled once with tail t
-    return (4 * k + 1) - x / (1 - x / ((4 * k + 3) + x / (1 + x / t)))
+def _offset_rhs(k: int, x: Poly) -> list[_Factor]:
+    # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}
+    return [_step(4 * k + 1, -x), _step(1, -x), _step(4 * k + 3, x), _step(1, x)]
 
 
 def verify_offset_rewrite(k: int = 0) -> bool:
     """Decide that shifting the paired recursion by -x equals its rewritten form.
 
-    Both sides are one unrolled level at index k with an indeterminate tail
-    value t (the tail of the shifted side is t + x so that both sides cut
-    the recursion at the same place).  Returns True iff they are the same
+    Both sides are one level at index k with an indeterminate tail value t
+    (the tail of the shifted side is t + x so that both sides cut the
+    recursion at the same place).  Returns True iff they are the same
     rational function of x and t.
     """
     return _agree_for_every_tail(_offset_lhs, _offset_rhs, k)
 
 
-def _halving_lhs(k: int, x: RatFunc, t: int) -> RatFunc:
+def _halving_lhs(k: int, x: Poly) -> list[_Factor]:
     # halved_k(x) = offset_k(x/2), with tail t
-    return _offset_rhs(k, x / 2, t)
+    return _offset_rhs(k, x.scale(Fraction(1, 2)))
 
 
-def _halving_rhs(k: int, x: RatFunc, t) -> RatFunc:
-    # halved recursion unrolled once with halved_{k+1} = t
-    return (4 * k + 1) - x / (2 - x / ((4 * k + 3) + x / (2 + x / t)))
+def _halving_rhs(k: int, x: Poly) -> list[_Factor]:
+    # halved level: 4k+1 - x/(2 - x/(4k+3 + x/(2 + x/t))), with t = halved_{k+1}
+    return [_step(4 * k + 1, -x), _step(2, -x), _step(4 * k + 3, x), _step(2, x)]
 
 
 def verify_halving_rewrite(k: int = 0) -> bool:
     """Decide that substituting x -> x/2 into the offset form gives the halved form.
 
-    Decided like ``verify_offset_rewrite``: one unrolled level at index k,
-    shared indeterminate tail t.
+    Decided like ``verify_offset_rewrite``: one level at index k, shared
+    indeterminate tail t.
     """
     return _agree_for_every_tail(_halving_lhs, _halving_rhs, k)
 
@@ -454,18 +415,17 @@ def verify_pairing(m: int) -> bool:
     """Check that pair-grouping the x*cot(x) fraction reproduces its convergents.
 
     Builds (i) the exact depth-(2m+1) convergent of the x*cot(x) stream
-    (last partial denominator 4m+3) and (ii) the paired recursion unrolled
-    from index 0 through m with the innermost x^2/paired term dropped, and
-    compares the two rational functions for identity.
+    (last partial denominator 4m+3) and (ii) the paired levels 0..m-1 and
+    the first step of level m folded onto the tail 4m+3, i.e. the paired
+    recursion with the innermost x^2/paired term dropped, and compares the
+    two rational functions for identity.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     plain = convergent_exact(xcot_spec(), SUITES["pairing"].depth(m))
-    xx = RatFunc(Poly([0, 0, 1]))
-    paired = (4 * m + 1) - xx / (4 * m + 3)
-    for j in range(m - 1, -1, -1):
-        paired = _paired(j, xx, paired)
-    return plain == paired
+    xx = Poly([0, 0, 1])
+    chain = [f for j in range(m) for f in _paired(j, xx)] + _paired(m, xx)[:1]
+    return plain == RatFunc(*_fold(chain, Poly([4 * m + 3]), _P_ONE))
 
 
 def verify_flattening(m: int) -> bool:
@@ -475,30 +435,29 @@ def verify_flattening(m: int) -> bool:
     depth-(4m+3) convergent equals 1 + x/N_m, where N_m is the halved
     recursion unrolled from index 0 through m with the final level cut to
     4m+1 - x/(2 - x/(4m+3)) — i.e. each full level contributes four
-    flattened terms and the cut level contributes the last two denominators
-    4m+1 and 2 plus the closing 4m+3.
+    flattened terms and the cut level contributes its first two steps,
+    denominators 4m+1 and 2, folded onto the closing 4m+3.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     flat = convergent_exact(sec_tan_spec(), SUITES["flatten"].depth(m))
-    x = RatFunc.x()
-    nested = (4 * m + 1) - x / (2 - x / (4 * m + 3))
-    for j in range(m - 1, -1, -1):
-        nested = _halving_rhs(j, x, nested)
-    return flat == 1 + x / nested
+    levels = [f for j in range(m) for f in _halving_rhs(j, _X)]
+    chain = [_step(1, _X), *levels, *_halving_rhs(m, _X)[:2]]  # 1 + x/N_m
+    return flat == RatFunc(*_fold(chain, Poly([4 * m + 3]), _P_ONE))
 
 
 def verify_series(order: int) -> bool:
     """Check sec-tan convergent Taylor coefficients against the zigzag oracle.
 
     Extracts the series of the depth-(2*order+3) flattened convergent and
-    compares each coefficient exactly to zigzag(n)/n!.
+    compares each coefficient exactly to zigzag(n)/n!, reading zigzag(0..order)
+    from one pass of the boustrophedon triangle.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     conv = convergent_exact(sec_tan_spec(), SUITES["series"].depth(order))
     coeffs = series_from_ratfunc(conv, order)
-    return all(c == Fraction(zigzag(n), math.factorial(n)) for n, c in enumerate(coeffs))
+    return coeffs == [Fraction(z, math.factorial(n)) for n, z in enumerate(_zigzags(order))]
 
 
 class Suite(NamedTuple):

@@ -71,11 +71,12 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
         # every suite must be able to fail: plant one defect per identity
         original_offset = exact._offset_rhs
         with monkeypatch.context() as mp:
-            mp.setattr(exact, "_offset_rhs", lambda k, x, t: original_offset(k, -x, t))
+            mp.setattr(exact, "_offset_rhs", lambda k, x: original_offset(k, -x))
             assert not exact.verify_offset_rewrite(0)
 
-        def bad_halving(k, x, t):
-            return (4 * k + 1) - x / (3 - x / ((4 * k + 3) + x / (2 + x / t)))
+        def bad_halving(k, x):  # the halved level with its 2 replaced by 3
+            step = exact._step
+            return [step(4 * k + 1, -x), step(3, -x), step(4 * k + 3, x), step(2, x)]
 
         with monkeypatch.context() as mp:
             mp.setattr(exact, "_halving_rhs", bad_halving)
@@ -104,9 +105,10 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
             mp.setattr(exact, "sec_tan_spec", flipped_flat)
             assert not exact.verify_flattening(1)
 
-        original_zigzag = exact.zigzag
+        original_zigzags = exact._zigzags
         with monkeypatch.context() as mp:
-            mp.setattr(exact, "zigzag", lambda n: original_zigzag(n) + (n == 3))
+            mp.setattr(exact, "_zigzags",
+                       lambda n: [z + (i == 3) for i, z in enumerate(original_zigzags(n))])
             assert not exact.verify_series(3)
 
 
@@ -187,6 +189,6 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
         # exit 3: a planted defect must surface as a verification failure
         original = exact._offset_rhs
         with monkeypatch.context() as mp:
-            mp.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, -x, t))
+            mp.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
             assert main(["verify", "offset"]) == 3
         capsys.readouterr()

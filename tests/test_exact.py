@@ -84,12 +84,6 @@ def test_divisions_stay_exact_at_int_coefficients():
     assert all(type(c) is Fraction for c in coeffs)
 
 
-def test_poly_scale_arg():
-    a = Poly((1, 2, 4))
-    assert a.scale_arg(Fraction(1, 2)) == Poly((1, 1, 1))
-    assert a.scale_arg(Fraction(1, 2)).scale_arg(2) == a
-
-
 def test_poly_divmod_identity():
     a = Poly((2, -3, 1, 5))
     b = Poly((1, 1))
@@ -113,7 +107,7 @@ def test_ratfunc_unreduced_forms_compare_equal():
     assert RatFunc(X * X, X).den == X
     assert RatFunc(X * X, X) == RatFunc(X)
     assert RatFunc(X * X, X) != RatFunc(X * X)
-    assert RatFunc(Poly(()), X) == 0
+    assert RatFunc(Poly(()), X) == RatFunc(Poly(()))
     f = RatFunc(ONE, ONE - X)  # 1/(1-x)
     assert f == RatFunc(Poly((-1,)), X - ONE)
     # series extraction cancels the shared power of x first
@@ -122,37 +116,18 @@ def test_ratfunc_unreduced_forms_compare_equal():
 
 
 def test_ratfunc_arithmetic():
-    x = RatFunc.x()
-    one = RatFunc.const(1)
-    f = one / (one - x)
-    assert x + one == RatFunc(X + ONE)
-    assert f * (one - x) == one
-    assert (f - f).num.is_zero
+    # a value type: exact evaluation, no operators, no zero denominator
+    f = RatFunc(ONE, ONE - X)  # 1/(1-x)
     assert f(Fraction(1, 2)) == 2
     with pytest.raises(ZeroDivisionError):
         f(Fraction(1))
     with pytest.raises(DivisionByZeroFunction):
-        f / RatFunc.const(0)
-    with pytest.raises(DivisionByZeroFunction):
         RatFunc(ONE, Poly(()))
-
-
-def test_ratfunc_takes_scalars_on_either_side():
-    x = RatFunc.x()
-    assert 1 + x == x + 1 == RatFunc(X + ONE)
-    assert 1 - x == -(x - 1)
-    assert Fraction(1, 2) * x == x / 2 == RatFunc(X, Poly((2,)))
-    assert 2 / x == RatFunc(Poly((2,)), X)
-    assert RatFunc.const(3) == 3 and RatFunc.const(3) != Fraction(1, 3)
     with pytest.raises(TypeError):
-        hash(x)
-
-
-def test_ratfunc_scale_arg():
-    f = RatFunc.const(1) / (RatFunc.const(1) - RatFunc.x())
-    half = f.scale_arg(Fraction(1, 2))  # 1/(1 - x/2)
-    assert half == RatFunc(ONE, Poly((1, Fraction(-1, 2))))
-    assert half.scale_arg(Fraction(2)) == f
+        hash(f)
+    with pytest.raises(AttributeError):
+        f.num = X
+    assert RatFunc(Poly((3,))) != 3  # only another RatFunc compares by value
 
 
 def test_convergent_exact_lowest_depths():
@@ -262,7 +237,7 @@ def test_convergent_exact_degenerate():
     )
     with pytest.raises(DegenerateConvergent):
         convergent_exact(bad, 1)
-    assert convergent_exact(bad, 2) == 1
+    assert convergent_exact(bad, 2) == RatFunc(ONE)
     with pytest.raises(DegenerateConvergent):
         convergent_exact(bad, 3)
 
@@ -383,37 +358,86 @@ def test_series_coefficients_are_zigzag_over_factorial():
     assert coeffs == [Fraction(zigzag(n), factorial(n)) for n in range(order + 1)]
 
 
+def paper_levels(k, x, t):
+    """Each recursion level of the ``expansions`` docstring at x with its next value t."""
+    def offset(x, t):
+        return 4 * k + 1 - x / (1 - x / (4 * k + 3 + x / (1 + x / t)))
+
+    paired = 4 * k + 1 - x * x / (4 * k + 3 - x * x / (t + x))  # paired_{k+1} = offset_{k+1} + x
+    return {
+        "_paired": 4 * k + 1 - x * x / (4 * k + 3 - x * x / t),
+        "_offset_lhs": paired - x,
+        "_offset_rhs": offset(x, t),
+        "_halving_lhs": offset(x / 2, t),
+        "_halving_rhs": 4 * k + 1 - x / (2 - x / (4 * k + 3 + x / (2 + x / t))),
+    }
+
+
+@pytest.mark.parametrize("x, t", [(Fraction(1, 3), Fraction(7, 4)), (Fraction(-5, 2), Fraction(-3)),
+                                  (Fraction(2), Fraction(11, 5))])
+def test_factor_lists_fold_to_the_paper_levels(x, t):
+    # pins each level's factor list to its formula, apart from the suites
+    for k in range(4):
+        for name, expected in paper_levels(k, x, t).items():
+            factors = getattr(exact, name)(k, X * X if name == "_paired" else X)
+            num, den = exact._fold(factors, Poly((t,)), ONE)
+            assert RatFunc(num, den)(x) == expected, (name, k)
+
+
 def test_offset_rewrite_detects_sign_flip(monkeypatch):
     original = exact._offset_rhs
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, -x, t))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
     assert not verify_offset_rewrite(0)
 
 
-@pytest.mark.parametrize("shift", [1, -1])  # -1 puts a pole at the tail point t = 1
+@pytest.mark.parametrize("shift", [1, -1])
 def test_offset_rewrite_detects_a_shifted_tail(monkeypatch, shift):
-    # right at every x, wrong in t: only the tail points can expose it
+    # right at every x, wrong in t: the tail t becomes t + shift
     original = exact._offset_rhs
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x, t: original(k, x, t + shift))
+    shifted = exact._shift(Poly((shift,)))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + [shifted])
     assert not verify_offset_rewrite(0)
     assert not verify_offset_rewrite(3)
 
 
-def test_offset_rewrite_needs_all_three_tail_points(monkeypatch):
-    # t -> (3t - 2)/t fixes t = 1 and t = 2 only, so this right side is still
-    # a Moebius map in t that agrees with the true one at two tail points
+def test_offset_rewrite_decides_every_tail(monkeypatch):
+    # t -> 3 - 2/t = (3t - 2)/t fixes t = 1 and t = 2 only, so this right side
+    # is still a Moebius map in t that agrees with the true one at two tails
     original = exact._offset_rhs
-    monkeypatch.setattr(
-        exact, "_offset_rhs", lambda k, x, t: original(k, x, Fraction(3 * t - 2, t))
-    )
+    moebius = exact._step(3, Poly((-2,)))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + [moebius])
     assert not verify_offset_rewrite(0)
 
 
-def test_halving_rewrite_detects_wrong_constant(monkeypatch):
-    def corrupted(k, x, t):
-        four_k = Fraction(4 * k)
-        return (four_k + 1) - x / (3 - x / ((four_k + 3) + x / (2 + x / t)))
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [exact._step(0, ONE), exact._step(1, ONE)],  # t/(t + 1): differs from t in t^2 only
+        [exact._step(0, Poly((2,))), exact._step(0, ONE)],  # 2t: in t only
+        [exact._shift(ONE)],  # t + 1: in the constant term only
+        [exact._step(0, Poly(())), exact._step(0, Poly(()))],  # the pair (0, 0): no function
+    ],
+    ids=["t^2", "t^1", "t^0", "no-denominator"],
+)
+def test_tail_decision_reads_each_coefficient_in_t(factors):
+    # cross-multiplied against the identity map t -> t (no factors), each of
+    # the first three right sides leaves one nonzero coefficient in t; the
+    # last leaves none, and fails because it has no denominator
+    def identity(k, x):
+        return []
 
-    monkeypatch.setattr(exact, "_halving_rhs", corrupted)
+    assert exact._agree_for_every_tail(identity, identity, 0)
+    assert not exact._agree_for_every_tail(identity, lambda k, x: factors, 0)
+
+
+def _bad_halving(k, x):
+    # the halved level with its 2 replaced by 3
+    step = exact._step
+    return [step(4 * k + 1, -x), step(3, -x), step(4 * k + 3, x), step(2, x)]
+
+
+def test_halving_rewrite_detects_wrong_constant(monkeypatch):
+    monkeypatch.setattr(exact, "_halving_rhs", _bad_halving)
     assert not verify_halving_rewrite(0)
 
 
@@ -443,20 +467,17 @@ def test_flattening_detects_sign_error(monkeypatch):
 
 
 def test_series_detects_off_by_one(monkeypatch):
-    original = exact.zigzag
-    monkeypatch.setattr(exact, "zigzag", lambda n: original(n) + (1 if n == 3 else 0))
+    original = exact._zigzags
+    monkeypatch.setattr(exact, "_zigzags",
+                        lambda n: [z + (i == 3) for i, z in enumerate(original(n))])
     assert not verify_series(3)
-
-
-def _bad_halving(k, x, t):
-    return (4 * k + 1) - x / (3 - x / ((4 * k + 3) + x / (2 + x / t)))
 
 
 @pytest.mark.parametrize(
     "level, defect, broken",
     [
-        ("_paired", lambda original: lambda k, xx, tail: original(k, -xx, tail), {"pairing", "offset"}),
-        ("_offset_rhs", lambda original: lambda k, x, t: original(k, -x, t), {"offset", "halving"}),
+        ("_paired", lambda original: lambda k, xx: original(k, -xx), {"pairing", "offset"}),
+        ("_offset_rhs", lambda original: lambda k, x: original(k, -x), {"offset", "halving"}),
         ("_halving_rhs", lambda original: _bad_halving, {"halving", "flatten"}),
     ],
     ids=["paired", "offset", "halved"],
