@@ -41,6 +41,8 @@ def layers(cfrac) -> dict:
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
     exact = cfrac.exact
+    for spec in (flat, xcot):  # shallow, like most exact-deep cases (depths 2-24)
+        calls[f"convergent_exact({spec.name}, 12)"] = lambda s=spec: exact.convergent_exact(s, 12)
     for spec, depth, order in ((flat, 60, 60), (xcot, 33, 67)):
         f = exact.convergent_exact(spec, depth)  # built outside the timed series call
         calls[f"convergent_exact({spec.name}, {depth})"] = (

@@ -8,7 +8,7 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 - ``verify_offset_rewrite``: shifting the paired recursion by -x equals its
   four-term rewritten form, for every tail value t.
 - ``verify_halving_rewrite``: substituting x -> x/2 into the offset form
-  equals the halved form, for every tail value t.
+  equals the halved form, for every tail value t (decided at 2x, on ints).
 - ``verify_flattening``: the flattened sec-tan term stream reproduces the
   nested halved recursion.
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
@@ -17,14 +17,15 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
   by brute force; the test suite uses it to cross-check ``zigzag`` for
   n <= 8.
 
-Each recursion level is written once, as a list of Moebius factors (2x2
-matrices of ``Poly``s acting on a tail value t: the step t -> b + a/t of a
-continued fraction, Jones & Thron 1980, or, in the offset link only, the
-shift t -> t + c), and the next link reuses it (``_paired``,
-``_offset_rhs``, ``_halving_rhs``), so neighbouring suites check the same
-object and the five checks form one chain.  ``_fold`` applies a list
-inside-out to a (num, den) pair.  ``SUITES`` lists the suites in derivation
-order with their fold depths and default levels.
+Each recursion level is written once, as a list of continued-fraction
+steps t -> b + a/t (Jones & Thron 1980; the offset link's shift t -> t + c
+is the two steps c + 1/(0 + 1/t)), and the next link reuses it
+(``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
+check the same object and the five checks form one chain.  ``_fold``
+applies a list inside-out to a (num, den) pair, one multiply-add of
+coefficient lists per step, and ``convergent_exact`` is that fold over a
+stream's first steps: the layer has one exact fold.  ``SUITES`` lists the
+suites in derivation order with their fold depths and default levels.
 
 Every check is a decision with zero tolerance, never a sample.  Scalars
 are exact: a coefficient is a plain ``int`` when it is integral and a
@@ -163,8 +164,8 @@ _X = Poly([0, 1])
 class RatFunc:
     """Quotient num/den of two Polys with a nonzero denominator, kept as built.
 
-    A value with no arithmetic of its own (the suites fold Moebius factors
-    on (num, den) pairs instead).  Nothing is reduced, so one function has
+    A value with no arithmetic of its own (the suites fold steps on
+    (num, den) pairs instead).  Nothing is reduced, so one function has
     many representations: ``==`` decides equality with another RatFunc by
     cross-multiplication, num * other.den == other.num * den.  Unhashable,
     since equal functions need not have equal parts.
@@ -196,47 +197,26 @@ class RatFunc:
 def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
     """The depth-``depth`` convergent P_n/Q_n of ``cf`` as an exact rational function.
 
-    Runs the forward three-term recurrence P_k = b_k*P_{k-1} + a_k*P_{k-2}
-    (likewise Q_k) from P_{-1} = 1, P_0 = b0, Q_{-1} = 0, Q_0 = 1 on
-    coefficient lists, and reduces nothing.  Coefficients are ints wherever
-    the terms' are integral (both built-in streams), Fractions otherwise.
-    By the determinant formula P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) *
-    a_1*...*a_k (Jones & Thron 1980), gcd(P_n, Q_n) divides a_1*...*a_n, a
-    power of x for both built-in streams.  Depth is capped at
-    MAX_EXACT_DEPTH to bound coefficient growth.
+    Folds the steps t -> b_k + a_(k+1)/t, k = 0..n-1, onto the tail b_n
+    (``_fold``), reducing nothing; a continuant folded inside-out is the one
+    of the forward three-term recurrence, so these are its P_n and Q_n.
+    Coefficients are ints wherever the terms' are integral (both built-in
+    streams), Fractions otherwise.  By the determinant formula
+    P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k (Jones & Thron
+    1980), gcd(P_n, Q_n) divides a_1*...*a_n, a power of x for both
+    built-in streams.  Depth is capped at MAX_EXACT_DEPTH.
 
     Raises DegenerateConvergent exactly when Q_n is the zero polynomial.
     """
     if not 1 <= depth <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_EXACT_DEPTH}, got {depth}")
-    p_prev, p = [1], list(Poly(cf.leading.coefficients()).coeffs)
-    q_prev, q = [], [1]
-    for k in range(1, depth + 1):
-        pair = cf.termgen(k)
-        a, b = _nonzero_terms(pair.a), _nonzero_terms(pair.b)
-        p_prev, p = p, _mul_add(b, p, a, p_prev)
-        q_prev, q = q, _mul_add(b, q, a, q_prev)
-    den = Poly(q)
+    terms = [cf.termgen(k) for k in range(1, depth + 1)]
+    bs = [cf.leading, *(pair.b for pair in terms)]
+    steps = [_step(b.coefficients(), pair.a.coefficients()) for b, pair in zip(bs, terms)]
+    num, den = _fold(steps, Poly(bs[-1].coefficients()), _P_ONE)
     if den.is_zero:
         raise DegenerateConvergent(f"convergent of {cf.name!r} has Q_{depth} = 0")
-    return RatFunc(Poly(p), den)
-
-
-def _nonzero_terms(term) -> list[tuple[int, int | Fraction]]:
-    """The (power, coefficient) pairs of a PolyTerm's nonzero monomials."""
-    return [(i, c) for i, c in enumerate(term.coefficients()) if c]
-
-
-def _mul_add(b, p: list, a, r: list) -> list:
-    """Coefficient list of b*p + a*r, with b and a given as _nonzero_terms."""
-    out = [0] * (max(len(p), len(r)) + 2)  # a term has degree <= 2
-    for term, poly in ((b, p), (a, r)):
-        for i, c in term:
-            for j, pj in enumerate(poly, i):
-                out[j] += c * pj
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return RatFunc(num, den)
 
 
 def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
@@ -316,39 +296,55 @@ def alternating_count(n: int) -> int:
     return count
 
 
-# A Moebius factor ((a, b), (c, d)) maps a tail value t to (a*t + b)/(c*t + d).
-_Factor = tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
+# A step (b, a) maps a tail value t to b + a/t; b and a are kept as the
+# (power, coefficient) pairs of their nonzero monomials.
+_Step = tuple[list, list]
 
 
-def _step(b: int, a: Poly) -> _Factor:
-    """The factor t -> b + a/t, one term of a continued fraction."""
-    return (Poly([b]), a), (_P_ONE, _P_ZERO)
+def _step(b, a) -> _Step:
+    """The step t -> b + a/t; b and a are each a scalar, a Poly or a coefficient tuple, x^0 first."""
+    b, a = (c if isinstance(c, tuple) else c.coeffs if isinstance(c, Poly) else (c,) for c in (b, a))
+    return [(i, c) for i, c in enumerate(b) if c], [(i, c) for i, c in enumerate(a) if c]
 
 
-def _shift(c: Poly) -> _Factor:
-    """The factor t -> t + c."""
-    return (_P_ONE, c), (_P_ZERO, _P_ONE)
+def _shift(c: Poly) -> list[_Step]:
+    """The map t -> t + c, as the two steps c + 1/(0 + 1/t)."""
+    return [_step(c, 1), _step(0, 1)]
 
 
-def _fold(factors: list[_Factor], num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Apply ``factors`` to the tail num/den, innermost (last) first; a (num, den) pair.
+def _fold(steps: list[_Step], num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Apply ``steps`` to the tail num/den, innermost (last) first; a (num, den) pair.
 
-    Projective: nothing is divided, so a factor that meets a zero
-    denominator still gives a pair, and (1, 0) stands for t = infinity.
+    A step (b, a) maps (num, den) to (b*num + a*den, num).  Projective:
+    nothing is divided, so a step that meets a zero denominator still gives
+    a pair, and (1, 0) stands for t = infinity.
     """
-    for (a, b), (c, d) in reversed(factors):
-        num, den = a * num + b * den, c * num + d * den
-    return num, den
+    num, den = list(num.coeffs), list(den.coeffs)
+    for b, a in reversed(steps):
+        num, den = _mul_add(b, num, a, den), num
+    return Poly(num), Poly(den)
+
+
+def _mul_add(b, p: list, a, r: list) -> list:
+    """Coefficient list of b*p + a*r, with b and a given as in a ``_Step``."""
+    out = [0] * max(b[-1][0] + len(p) if b else 0, a[-1][0] + len(r) if a else 0)
+    for term, poly in ((b, p), (a, r)):
+        for i, c in term:
+            for j, pj in enumerate(poly, i):
+                out[j] += c * pj
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _agree_for_every_tail(
-    lhs: Callable[[int, Poly], list[_Factor]],
-    rhs: Callable[[int, Poly], list[_Factor]],
+    lhs: Callable[[int, Poly], list[_Step]],
+    rhs: Callable[[int, Poly], list[_Step]],
     k: int,
 ) -> bool:
     """Decide lhs(k, x) == rhs(k, x) as rational functions of x and the tail t.
 
-    Each side is a factor list at the indeterminate x, so it is a Moebius
+    Each side is a step list at the indeterminate x, so it is a Moebius
     map in t whose entries are polynomials in x: folded onto t = infinity,
     the pair (1, 0), and onto t = 0, the pair (0, 1), lhs gives the columns
     (a, c) and (b, d) of t -> (a*t + b)/(c*t + d), and rhs likewise (p, r)
@@ -366,17 +362,17 @@ def _agree_for_every_tail(
     return a * r == p * c and a * s + b * r == p * d + q * c and b * s == q * d
 
 
-def _paired(k: int, xx: Poly) -> list[_Factor]:
+def _paired(k: int, xx: Poly) -> list[_Step]:
     # paired level at x^2 = xx: 4k+1 - xx/(4k+3 - xx/t), with t = paired_{k+1}
     return [_step(4 * k + 1, -xx), _step(4 * k + 3, -xx)]
 
 
-def _offset_lhs(k: int, x: Poly) -> list[_Factor]:
+def _offset_lhs(k: int, x: Poly) -> list[_Step]:
     # paired level with its tail set to t + x, shifted by -x
-    return [_shift(-x), *_paired(k, x * x), _shift(x)]
+    return [*_shift(-x), *_paired(k, x * x), *_shift(x)]
 
 
-def _offset_rhs(k: int, x: Poly) -> list[_Factor]:
+def _offset_rhs(k: int, x: Poly) -> list[_Step]:
     # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}
     return [_step(4 * k + 1, -x), _step(1, -x), _step(4 * k + 3, x), _step(1, x)]
 
@@ -392,12 +388,12 @@ def verify_offset_rewrite(k: int = 0) -> bool:
     return _agree_for_every_tail(_offset_lhs, _offset_rhs, k)
 
 
-def _halving_lhs(k: int, x: Poly) -> list[_Factor]:
-    # halved_k(x) = offset_k(x/2), with tail t
-    return _offset_rhs(k, x.scale(Fraction(1, 2)))
+def _halving_lhs(k: int, x: Poly) -> list[_Step]:
+    # halved_k(2x), with tail t: equals offset_k(x) when halved_k(x) = offset_k(x/2)
+    return _halving_rhs(k, x.scale(2))
 
 
-def _halving_rhs(k: int, x: Poly) -> list[_Factor]:
+def _halving_rhs(k: int, x: Poly) -> list[_Step]:
     # halved level: 4k+1 - x/(2 - x/(4k+3 + x/(2 + x/t))), with t = halved_{k+1}
     return [_step(4 * k + 1, -x), _step(2, -x), _step(4 * k + 3, x), _step(2, x)]
 
@@ -405,10 +401,10 @@ def _halving_rhs(k: int, x: Poly) -> list[_Factor]:
 def verify_halving_rewrite(k: int = 0) -> bool:
     """Decide that substituting x -> x/2 into the offset form gives the halved form.
 
-    Decided like ``verify_offset_rewrite``: one level at index k, shared
-    indeterminate tail t.
+    Decided like ``verify_offset_rewrite`` (one level at index k, shared
+    indeterminate tail t) at 2x, halved_k(2x) == offset_k(x), on ints.
     """
-    return _agree_for_every_tail(_halving_lhs, _halving_rhs, k)
+    return _agree_for_every_tail(_halving_lhs, _offset_rhs, k)
 
 
 def verify_pairing(m: int) -> bool:

@@ -228,6 +228,17 @@ def test_convergent_exact_depth_bounds():
         convergent_exact(sec_tan_spec(), 65)
 
 
+def forward_convergent(spec, depth):
+    """P_depth, Q_depth as Polys, from the forward three-term recurrence."""
+    p_prev, p, q_prev, q = ONE, Poly(spec.leading.coefficients()), Poly(()), ONE
+    for k in range(1, depth + 1):
+        pair = spec.termgen(k)
+        a, b = Poly(pair.a.coefficients()), Poly(pair.b.coefficients())
+        p_prev, p = p, b * p + a * p_prev
+        q_prev, q = q, b * q + a * q_prev
+    return p, q
+
+
 def test_convergent_exact_degenerate():
     # 1 + 1/(0 + 1/(0 + ...)): Q_n is 0 at odd depths, so only those collapse
     bad = CfSpec(
@@ -240,6 +251,17 @@ def test_convergent_exact_degenerate():
     assert convergent_exact(bad, 2) == RatFunc(ONE)
     with pytest.raises(DegenerateConvergent):
         convergent_exact(bad, 3)
+
+    # 1 + x/(1 + x/(0 + x/(x - x^2/x))): b_2 = 0 is inner at depth 4, where the
+    # innermost two steps fold to 0 and the next to the pair (x^2, 0), yet Q_4 = x^2
+    terms = {1: TermPair(a=poly(c1=1), b=poly(1)), 2: TermPair(a=poly(c1=1), b=poly(0)),
+             3: TermPair(a=poly(c1=1), b=poly(c1=1)), 4: TermPair(a=poly(c2=-1), b=poly(c1=1))}
+    inner_zero = CfSpec(name="inner-zero", leading=poly(1), termgen=terms.__getitem__)
+    for depth in range(1, 5):
+        f = convergent_exact(inner_zero, depth)
+        assert (f.num, f.den) == forward_convergent(inner_zero, depth), depth
+    assert convergent_exact(inner_zero, 4).den == Poly((0, 0, 1))
+    assert convergent_exact(inner_zero, 4) == RatFunc(X + ONE)
 
 
 def inside_out_fold(spec, t, depth):
@@ -363,13 +385,16 @@ def paper_levels(k, x, t):
     def offset(x, t):
         return 4 * k + 1 - x / (1 - x / (4 * k + 3 + x / (1 + x / t)))
 
+    def halved(x, t):
+        return 4 * k + 1 - x / (2 - x / (4 * k + 3 + x / (2 + x / t)))
+
     paired = 4 * k + 1 - x * x / (4 * k + 3 - x * x / (t + x))  # paired_{k+1} = offset_{k+1} + x
     return {
         "_paired": 4 * k + 1 - x * x / (4 * k + 3 - x * x / t),
         "_offset_lhs": paired - x,
         "_offset_rhs": offset(x, t),
-        "_halving_lhs": offset(x / 2, t),
-        "_halving_rhs": 4 * k + 1 - x / (2 - x / (4 * k + 3 + x / (2 + x / t))),
+        "_halving_lhs": halved(2 * x, t),  # equals offset(x, t)
+        "_halving_rhs": halved(x, t),
     }
 
 
@@ -384,6 +409,23 @@ def test_factor_lists_fold_to_the_paper_levels(x, t):
             assert RatFunc(num, den)(x) == expected, (name, k)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_halving_sides_fold_on_ints(k):
+    # halved_k(2x) == offset_k(x) is decided without a Fraction coefficient
+    for side in (exact._halving_lhs, exact._offset_rhs):
+        for tail in ((ONE, Poly(())), (Poly(()), ONE)):  # t = infinity, t = 0
+            for part in exact._fold(side(k, X), *tail):
+                assert all(type(c) is int for c in part.coeffs), (side.__name__, k)
+
+
+def test_fold_takes_steps_of_any_degree():
+    # cubic partial numerators: each product is sized from its step's powers
+    steps = [exact._step(Poly((1, 2)), Poly((1, 0, 0, 3))), exact._step(3, Poly((0, 0, 0, -2)))]
+    x, t = Fraction(2, 3), Fraction(-5, 7)
+    num, den = exact._fold(steps, Poly((t,)), ONE)
+    assert RatFunc(num, den)(x) == 1 + 2 * x + (1 + 3 * x**3) / (3 - 2 * x**3 / t)
+
+
 def test_offset_rewrite_detects_sign_flip(monkeypatch):
     original = exact._offset_rhs
     monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
@@ -395,7 +437,7 @@ def test_offset_rewrite_detects_a_shifted_tail(monkeypatch, shift):
     # right at every x, wrong in t: the tail t becomes t + shift
     original = exact._offset_rhs
     shifted = exact._shift(Poly((shift,)))
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + [shifted])
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + shifted)
     assert not verify_offset_rewrite(0)
     assert not verify_offset_rewrite(3)
 
@@ -414,7 +456,7 @@ def test_offset_rewrite_decides_every_tail(monkeypatch):
     [
         [exact._step(0, ONE), exact._step(1, ONE)],  # t/(t + 1): differs from t in t^2 only
         [exact._step(0, Poly((2,))), exact._step(0, ONE)],  # 2t: in t only
-        [exact._shift(ONE)],  # t + 1: in the constant term only
+        exact._shift(ONE),  # t + 1: in the constant term only
         [exact._step(0, Poly(())), exact._step(0, Poly(()))],  # the pair (0, 0): no function
     ],
     ids=["t^2", "t^1", "t^0", "no-denominator"],
