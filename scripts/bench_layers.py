@@ -7,9 +7,11 @@ between them, to compare commits on one machine.  Each layer gets one
 warm-up call, which fills its term table, then ``--repeat`` runs of
 ``--number`` calls, or of as many calls as one timed call says fit in
 about 0.2 s if that is fewer; the fastest run's mean per call is reported.
-Each suite of ``exact.SUITES`` is timed at its default level, and the CLI
-requests print into a discarded buffer.  Prints one JSON object mapping
-each layer to its time.
+The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
+new copy of the spec, which builds that copy's exact steps.  Each suite
+of ``exact.SUITES`` is timed at its default level, and the CLI requests
+print into a discarded buffer.  Prints one JSON object mapping each
+layer to its time.
 
 Usage:
     python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
@@ -17,6 +19,7 @@ Usage:
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -43,6 +46,9 @@ def layers(cfrac) -> dict:
     exact = cfrac.exact
     for spec in (flat, xcot):  # shallow, like most exact-deep cases (depths 2-24)
         calls[f"convergent_exact({spec.name}, 12)"] = lambda s=spec: exact.convergent_exact(s, 12)
+        # cold: a fresh copy of the spec, whose first call builds its exact steps
+        calls[f"convergent_exact(fresh {spec.name}, 12)"] = (
+            lambda s=spec: exact.convergent_exact(dataclasses.replace(s), 12))
     for spec, depth, order in ((flat, 60, 60), (xcot, 33, 67)):
         f = exact.convergent_exact(spec, depth)  # built outside the timed series call
         calls[f"convergent_exact({spec.name}, {depth})"] = (

@@ -140,9 +140,11 @@ class CfSpec:
     name: str
     leading: PolyTerm
     termgen: Callable[[int], TermPair]
-    # columns (a0, a1, a2, b0, b1, b2) indexed by k = 0, 1, ..., index 0 holding ``leading`` as b
+    # term tables, each replaced whole when it grows: float columns (a0, a1, a2, b0, b1,
+    # b2) by k, row 0 holding ``leading`` as b (``_rows``); exact steps (``exact._steps``)
     _table: tuple = field(
         default_factory=lambda: ([], [], [], [], [], []), init=False, repr=False, compare=False)
+    _steps: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,7 @@ def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
     """Return (a_k(x), b_k(x)) as doubles for k >= 1."""
     if k < 1:
         raise ValueError(f"term index must be >= 1, got {k}")
+    x = finite_float(x)
     a0, a1, a2, b0, b1, b2 = _rows(cf, k)
     return (a2[k] * x + a1[k]) * x + a0[k], (b2[k] * x + b1[k]) * x + b0[k]
 

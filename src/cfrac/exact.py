@@ -23,9 +23,10 @@ is the two steps c + 1/(0 + 1/t)), and the next link reuses it
 (``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
 check the same object and the five checks form one chain.  ``_fold``
 applies a list inside-out to a (num, den) pair, one multiply-add of
-coefficient lists per step, and ``convergent_exact`` is that fold over a
-stream's first steps: the layer has one exact fold.  ``SUITES`` lists the
-suites in derivation order with their fold depths and default levels.
+coefficient lists per step, and ``convergent_exact`` is that fold over the
+first rows of a stream's step table, generated once per ``CfSpec``
+(``_steps``): the layer has one exact fold.  ``SUITES`` lists the suites
+in derivation order with their fold depths and default levels.
 
 Every check is a decision with zero tolerance, never a sample.  Scalars
 are exact: a coefficient is a plain ``int`` when it is integral and a
@@ -156,6 +157,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / Fraction(a.coeffs[-1]))
 
 
+_ZERO = Fraction(0)
 _P_ZERO = Poly()
 _P_ONE = Poly([1])
 _X = Poly([0, 1])
@@ -197,9 +199,11 @@ class RatFunc:
 def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
     """The depth-``depth`` convergent P_n/Q_n of ``cf`` as an exact rational function.
 
-    Folds the steps t -> b_k + a_(k+1)/t, k = 0..n-1, onto the tail b_n
-    (``_fold``), reducing nothing; a continuant folded inside-out is the one
-    of the forward three-term recurrence, so these are its P_n and Q_n.
+    Folds the steps t -> b_k + a_(k+1)/t, k = 0..n, onto t = infinity (so
+    onto the tail b_n; ``_fold``), reducing nothing; a continuant folded
+    inside-out is the one of the forward three-term recurrence, so these are
+    its P_n and Q_n.  The steps are the spec's table (``_steps``), so a call
+    generates only terms that no earlier call on the spec generated.
     Coefficients are ints wherever the terms' are integral (both built-in
     streams), Fractions otherwise.  By the determinant formula
     P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k (Jones & Thron
@@ -210,10 +214,7 @@ def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
     """
     if not 1 <= depth <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_EXACT_DEPTH}, got {depth}")
-    terms = [cf.termgen(k) for k in range(1, depth + 1)]
-    bs = [cf.leading, *(pair.b for pair in terms)]
-    steps = [_step(b.coefficients(), pair.a.coefficients()) for b, pair in zip(bs, terms)]
-    num, den = _fold(steps, Poly(bs[-1].coefficients()), _P_ONE)
+    num, den = _fold(_steps(cf, depth)[: depth + 1], _P_ONE, _P_ZERO)
     if den.is_zero:
         raise DegenerateConvergent(f"convergent of {cf.name!r} has Q_{depth} = 0")
     return RatFunc(num, den)
@@ -225,7 +226,9 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
     Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  The power of x that
     divides both numerator and denominator is cancelled first; PoleAtOrigin
     is raised when the denominator still vanishes at 0.  The division keeps
-    one running common denominator of the coefficients found so far.
+    one running common denominator of the coefficients found so far, in
+    y = x^2 for an even function (den nonconstant, no odd power of x in num
+    or den, as for x*cot(x)), whose odd orders are then 0.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -234,6 +237,8 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
         num, den = num[1:], den[1:]
     if den[0] == 0:
         raise PoleAtOrigin("denominator vanishes at x = 0")
+    step = 2 if len(den) > 1 and not any(num[1::2]) and not any(den[1::2]) else 1
+    num, den = num[::step], den[::step]  # for an even function, coefficients in y = x^2
     # c_i = (num_i - sum_j den_j * c_(i-j)) / den_0, summed over the nonzero
     # taps den_j: m is the lcm of the denominators of c_0..c_(i-1) and
     # w[k] = c_k * m is an int, so for int num and den the sum is all ints.
@@ -242,7 +247,7 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
     taps = [(j, dj) for j, dj in enumerate(den) if j and dj]
     deg = len(den) - 1
     m, w, out = 1, [], []
-    for i in range(order + 1):
+    for i in range(order // step + 1):
         acc = (num[i] if i < len(num) else 0) * m
         for j, dj in taps:
             if j > i:
@@ -257,7 +262,7 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
             for k in range(max(i - deg + 1, 0), i):
                 w[k] *= new
         w.append(c.numerator * (m // q))
-    return out
+    return out if step == 1 else [c for c_y in out for c in (c_y, _ZERO)][: order + 1]
 
 
 def zigzag(n: int) -> int:
@@ -305,6 +310,28 @@ def _step(b, a) -> _Step:
     """The step t -> b + a/t; b and a are each a scalar, a Poly or a coefficient tuple, x^0 first."""
     b, a = (c if isinstance(c, tuple) else c.coeffs if isinstance(c, Poly) else (c,) for c in (b, a))
     return [(i, c) for i, c in enumerate(b) if c], [(i, c) for i, c in enumerate(a) if c]
+
+
+def _steps(cf: CfSpec, depth: int) -> list[_Step]:
+    """``cf``'s steps (b_k, a_(k+1)), k = 0..depth at least, generated once per spec.
+
+    A short table grows to row ``depth`` only, whose a is [] (a_(depth+1) is
+    not generated; folded onto t = infinity, (1, 0), a meets den = 0).  It grows
+    into a new list that replaces it whole, so concurrent callers need no lock.
+    """
+    rows = cf._steps
+    if len(rows) > depth:
+        return rows
+    grown = rows[:-1]
+    b, _ = rows[-1] if rows else _step(cf.leading.coefficients(), 0)
+    for k in range(max(len(rows), 1), depth + 1):
+        pair = cf.termgen(k)
+        b_k, a = _step(pair.b.coefficients(), pair.a.coefficients())
+        grown.append((b, a))
+        b = b_k
+    grown.append((b, []))
+    object.__setattr__(cf, "_steps", grown)
+    return grown
 
 
 def _shift(c: Poly) -> list[_Step]:

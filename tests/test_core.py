@@ -246,6 +246,7 @@ NON_FINITE_CALLS = {
     "paired_value": lambda x: paired_value(0, x, 8),
     "offset_value": lambda x: offset_value(0, x, 8),
     "halved_value": lambda x: halved_value(0, x, 8),
+    "term_at": lambda x: term_at(_SILENT, 2, x),
 }
 
 

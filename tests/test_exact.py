@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import gc
 import random
 import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -264,6 +267,91 @@ def test_convergent_exact_degenerate():
     assert convergent_exact(inner_zero, 4) == RatFunc(X + ONE)
 
 
+def test_exact_table_generates_each_term_once():
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return sec_tan_spec().termgen(k)
+
+    spec = CfSpec(name="counting", leading=sec_tan_spec().leading, termgen=counting)
+    first = convergent_exact(spec, 20)
+    assert calls == list(range(1, 21))
+    calls.clear()
+    again, shallower = convergent_exact(spec, 20), convergent_exact(spec, 7)
+    assert calls == []
+    assert (again.num, again.den) == (first.num, first.den)
+    assert (shallower.num, shallower.den) == forward_convergent(spec, 7)
+    calls.clear()
+    convergent_exact(spec, 30)
+    assert calls == list(range(21, 31))  # only the new indices, and none past the depth
+    with pytest.raises(ValueError):
+        convergent_exact(spec, exact.MAX_EXACT_DEPTH + 1)
+    assert len(spec._steps) == 31
+
+
+@pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
+def test_exact_table_order_of_depths_does_not_matter(spec):
+    depths = range(1, exact.MAX_EXACT_DEPTH + 1)
+    ascending, descending = dataclasses.replace(spec), dataclasses.replace(spec)
+    up = {d: convergent_exact(ascending, d) for d in depths}
+    down = {d: convergent_exact(descending, d) for d in reversed(depths)}
+    assert all((up[d].num, up[d].den) == (down[d].num, down[d].den) for d in depths)
+    assert ascending._steps == descending._steps
+    assert len(descending._steps) == exact.MAX_EXACT_DEPTH + 1
+
+
+def test_shared_exact_table_under_concurrent_growth():
+    """Eight threads grow one fresh spec's exact table, each through depths
+    1..64 in its own order, and get exactly the convergents of a serial run;
+    the stored steps are those of a serial fill."""
+    spec, serial = dataclasses.replace(sec_tan_spec()), dataclasses.replace(sec_tan_spec())
+    depths = range(1, exact.MAX_EXACT_DEPTH + 1)
+    expected = {d: (f.num, f.den) for d in depths for f in [convergent_exact(serial, d)]}
+    results, errors = [], []
+    start = threading.Barrier(8)
+
+    def worker(seed):
+        order = list(depths)
+        random.Random(seed).shuffle(order)
+        try:
+            start.wait(timeout=60)
+            results.append({d: (f.num, f.den) for d in order for f in [convergent_exact(spec, d)]})
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8
+    assert all(result == expected for result in results)
+    rows = spec._steps  # the last thread to publish may have grown a shorter copy
+    assert 2 <= len(rows) <= exact.MAX_EXACT_DEPTH + 1
+    assert rows == exact._steps(dataclasses.replace(sec_tan_spec()), len(rows) - 1)
+
+
+def test_exact_table_growth_leaves_published_rows_untouched():
+    """A reader holding the published steps keeps them whole while the table
+    grows: growth copies into a new list and never appends in place."""
+    spec = dataclasses.replace(xcot_spec())
+    published = exact._steps(spec, 8)
+    snapshot = copy.deepcopy(published)
+    grown = exact._steps(spec, 20)
+    assert grown is spec._steps and len(grown) == 21 and len(published) == 9
+    assert published == snapshot
+    assert published[-1][1] == [] and grown[8][1] != []  # a_9, first generated by the growth
+    assert exact._steps(spec, 5) is grown
+
+
 def inside_out_fold(spec, t, depth):
     """b0 + a1/(b1 + ... + a_depth/b_depth) at the rational t, innermost first."""
     value = spec.termgen(depth).b(t)
@@ -331,9 +419,23 @@ def test_series_from_ratfunc():
         (RatFunc(Poly(()), Poly((-5, 1))), 4),  # zero numerator
         (RatFunc(Poly(()), X * X), 3),
         (convergent_exact(xcot_spec(), 33), 67),  # every odd tap of den is zero
+        # even functions, divided in x^2
+        (RatFunc(Poly((3,)), Poly((2,))), 5),  # constant over constant: not compressed
+        (RatFunc(Poly((1, 0, 5)), Poly((2,))), 6),  # even over constant
+        (RatFunc(ONE, Poly((1, 0, 0, 0, -1))), 13),  # 1/(1 - x^4)
+        (RatFunc(Poly((1, 0, 2)), Poly((1, 1, 1))), 9),  # even over a den with an odd term
+        (RatFunc(X, Poly((1, 0, -1))), 7),  # odd over even
+        (RatFunc(X * X * Poly((1, 0, -1)), X * X * Poly((2, 0, 3))), 10),  # shared x^2
+        (RatFunc(X * Poly((1, 0, -1)), X * Poly((2, 0, 3))), 11),  # shared x, even once cancelled
+        (RatFunc(Poly((Fraction(1, 3), 0, 1)), Poly((2, 0, Fraction(-1, 5)))), 11),
+        (RatFunc(ONE, Poly((1, 0, -1))), 0),
+        (RatFunc(ONE, Poly((1, 0, -1))), 1),
+        (convergent_exact(xcot_spec(), 12), 27),
     ],
     ids=["zero-taps", "negative-d0", "shared-x-power", "past-num", "zero-num", "zero-num-over-x2",
-         "xcot-33"],
+         "xcot-33", "even-const-over-const", "even-over-const", "even-1-x4", "even-over-odd-den",
+         "odd-over-even", "even-shared-x2", "even-shared-x", "even-fractions", "even-order-0",
+         "even-order-1", "xcot-12"],
 )
 def test_series_is_long_division(f, order):
     coeffs = series_from_ratfunc(f, order)
