@@ -9,9 +9,10 @@ warm-up call, which fills its term table, then ``--repeat`` runs of
 about 0.2 s if that is fewer; the fastest run's mean per call is reported.
 The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
 new copy of the spec, which builds that copy's exact steps.  Each suite
-of ``exact.SUITES`` is timed at its default level, and the CLI requests
-print into a discarded buffer.  Prints one JSON object mapping each
-layer to its time.
+of ``exact.SUITES`` is timed at its default level, and each capped suite
+also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
+CLI requests print into a discarded buffer.  Prints one JSON object
+mapping each layer to its time.
 
 Usage:
     python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 0.2  # caps one run of a slow layer, such as `cfrac verify all`
+CAPS = {"pairing": 31, "flatten": 15, "series": 30}  # deepest level at MAX_EXACT_DEPTH 64
 
 
 def layers(cfrac) -> dict:
@@ -56,8 +58,9 @@ def layers(cfrac) -> dict:
         calls[f"series_from_ratfunc({spec.name} {depth}, {order})"] = (
             lambda f=f, o=order: exact.series_from_ratfunc(f, o))
     for name, suite in exact.SUITES.items():
-        calls[f"exact.SUITES[{name}].check({suite.default_level})"] = (
-            lambda s=suite: s.check(s.default_level))
+        for level in (suite.default_level, CAPS.get(name)):
+            if level is not None:
+                calls[f"exact.SUITES[{name}].check({level})"] = lambda s=suite, m=level: s.check(m)
     for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
         calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cfrac.cli.main, argv)
     return calls

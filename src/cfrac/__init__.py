@@ -16,7 +16,6 @@ from .core import (
     NoConvergence,
     PolyTerm,
     TermPair,
-    continuation_spec,
     eval_adaptive,
     eval_backward,
     eval_forward,
@@ -71,7 +70,6 @@ __all__ = [
     "RatFunc",
     "TermPair",
     "alternating_count",
-    "continuation_spec",
     "convergent_exact",
     "eval_adaptive",
     "eval_backward",

@@ -196,21 +196,6 @@ def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
     return (a2[k] * x + a1[k]) * x + a0[k], (b2[k] * x + b1[k]) * x + b0[k]
 
 
-def continuation_spec(cf: CfSpec, start: int) -> CfSpec:
-    """The sub-fraction starting at index ``start``: b_start + a_{start+1}/(b_{start+1} + ...).
-
-    Evaluating it approximates the continuation value that ``eval_backward``
-    accepts through its ``tail`` parameter (with ``start = depth + 1``).
-    """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    return CfSpec(
-        name=f"{cf.name}[{start}:]",
-        leading=cf.termgen(start).b,
-        termgen=lambda j: cf.termgen(start + j),
-    )
-
-
 def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = None) -> float:
     """``eval_backward``'s fold started at index ``start``: b_start + a_{start+1}/(...)."""
     if tail is not None and abs(tail) < POLE_THRESHOLD:
@@ -245,26 +230,20 @@ def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -
     return _fold(cf, finite_float(x), 0, depth, tail)
 
 
-# Joint rescale factor for the forward recurrence.  An exact power of two,
-# so P_n/Q_n is bit-for-bit unchanged by rescaling.
+# Joint rescale of the forward recurrence: once max(|P_n|, |Q_n|) passes
+# _RESCALE_AT, both are scaled by _RESCALE, an exact power of two, so
+# P_n/Q_n is bit-for-bit unchanged by rescaling.
+_RESCALE_AT = 1e150
 _RESCALE = 2.0**-500
 
-DEFAULT_RESCALE_THRESHOLD = 1e150
 
-
-def eval_forward(
-    cf: CfSpec,
-    x: float,
-    depth: int,
-    rescale_threshold: float = DEFAULT_RESCALE_THRESHOLD,
-) -> list[float]:
+def eval_forward(cf: CfSpec, x: float, depth: int) -> list[float]:
     """All convergents h_1..h_depth by the forward three-term recurrence.
 
     P_n = b_n*P_{n-1} + a_n*P_{n-2} and likewise for Q_n, with P_{-1} = 1,
     P_0 = b0, Q_{-1} = 0, Q_0 = 1 and h_n = P_n/Q_n.  Whenever
-    max(|P_n|, |Q_n|) exceeds ``rescale_threshold`` both sequences are
-    jointly rescaled by an exact power of two, which leaves every reported
-    convergent unchanged.
+    max(|P_n|, |Q_n|) exceeds 1e150 both sequences are jointly rescaled by
+    an exact power of two, which leaves every reported convergent unchanged.
 
     Raises DivisionNearZero if |Q_n| underflows below POLE_THRESHOLD after
     rescaling.
@@ -281,7 +260,7 @@ def eval_forward(
         b_n = (b2[n] * x + b1[n]) * x + b0[n]
         p_next = b_n * p_cur + a_n * p_prev
         q_next = b_n * q_cur + a_n * q_prev
-        if max(abs(p_next), abs(q_next)) > rescale_threshold:
+        if max(abs(p_next), abs(q_next)) > _RESCALE_AT:
             p_next *= _RESCALE
             q_next *= _RESCALE
             p_cur *= _RESCALE
@@ -314,7 +293,7 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
         Iteration budget, >= 2.  NoConvergence is raised when it is
         exhausted before the stopping test passes.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be > 0, got {eps}")
     if max_terms < 2:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
@@ -352,7 +331,7 @@ def relative_difference(v_new: float, v_old: float) -> float:
 
 def _deepen(probe, x: float, target_rel_err: float, limit: int) -> EvalReport:
     """``probe(n)`` at n = 4, 8, 16, ... <= ``limit`` until one agrees with the last."""
-    if target_rel_err <= 0:
+    if not target_rel_err > 0:  # also rejects nan
         raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
     previous = probe(4)
     n = 8

@@ -3,14 +3,14 @@
 This layer re-derives, in exact arithmetic, every algebraic step that turns
 the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 
-- ``verify_pairing``: grouping the x*cot(x) fraction two terms at a time
-  into the paired recursion reproduces its plain convergents.
+- ``verify_pairing``: steps 2m and 2m+1 of the x*cot(x) stream are the
+  paired level m, for every tail value t.
 - ``verify_offset_rewrite``: shifting the paired recursion by -x equals its
   four-term rewritten form, for every tail value t.
 - ``verify_halving_rewrite``: substituting x -> x/2 into the offset form
   equals the halved form, for every tail value t (decided at 2x, on ints).
-- ``verify_flattening``: the flattened sec-tan term stream reproduces the
-  nested halved recursion.
+- ``verify_flattening``: steps 4m+1..4m+4 of the sec-tan stream are the
+  halved level m, for every tail value t (level 0 after the leading step).
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
   zigzag(n)/n!, with the zigzag numbers from one boustrophedon triangle
   (``_zigzags``) alone.  ``alternating_count`` counts alternating permutations
@@ -21,12 +21,17 @@ Each recursion level is written once, as a list of continued-fraction
 steps t -> b + a/t (Jones & Thron 1980; the offset link's shift t -> t + c
 is the two steps c + 1/(0 + 1/t)), and the next link reuses it
 (``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
-check the same object and the five checks form one chain.  ``_fold``
-applies a list inside-out to a (num, den) pair, one multiply-add of
-coefficient lists per step, and ``convergent_exact`` is that fold over the
-first rows of a stream's step table, generated once per ``CfSpec``
-(``_steps``): the layer has one exact fold.  ``SUITES`` lists the suites
-in derivation order with their fold depths and default levels.
+check the same object and the five checks form one chain.  The four
+algebraic suites each decide one level by one primitive,
+``_agree_for_every_tail``, whose sides are step lists: a level or a slice
+of a stream's step table, generated once per ``CfSpec`` (``_steps``).  By
+associativity, a stream that agrees with the levels 0..m for every tail
+has, at t = infinity, their convergents.  ``_fold`` applies a list
+inside-out to a (num, den) pair, one multiply-add of coefficient lists per
+step, and ``convergent_exact`` is that fold over the first rows of a
+stream's step table: the layer has one exact fold.  ``SUITES`` lists the
+suites in derivation order with the deepest stream row each reads and
+their default levels.
 
 Every check is a decision with zero tolerance, never a sample.  Scalars
 are exact: a coefficient is a plain ``int`` when it is integral and a
@@ -381,7 +386,7 @@ def _agree_for_every_tail(
     whose denominator is the zero polynomial fails the check.
     """
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"level must be >= 0, got {k}")
     tails = ((_P_ONE, _P_ZERO), (_P_ZERO, _P_ONE))  # t = infinity, t = 0
     (a, c), (b, d), (p, r), (q, s) = (_fold(side(k, _X), *t) for side in (lhs, rhs) for t in tails)
     if (c.is_zero and d.is_zero) or (r.is_zero and s.is_zero):
@@ -434,39 +439,40 @@ def verify_halving_rewrite(k: int = 0) -> bool:
     return _agree_for_every_tail(_halving_lhs, _offset_rhs, k)
 
 
-def verify_pairing(m: int) -> bool:
-    """Check that pair-grouping the x*cot(x) fraction reproduces its convergents.
+def _stream_steps(cf: CfSpec, first: int, last: int) -> list[_Step]:
+    """Rows first..last of ``cf``'s step table, the last one with its a_(last+1)."""
+    return _steps(cf, last + 1)[first : last + 1]
 
-    Builds (i) the exact depth-(2m+1) convergent of the x*cot(x) stream
-    (last partial denominator 4m+3) and (ii) the paired levels 0..m-1 and
-    the first step of level m folded onto the tail 4m+3, i.e. the paired
-    recursion with the innermost x^2/paired term dropped, and compares the
-    two rational functions for identity.
+
+def verify_pairing(m: int) -> bool:
+    """Decide that steps 2m and 2m+1 of the x*cot(x) stream are the paired level m.
+
+    The stream's steps (b_2m, a_(2m+1)) and (b_(2m+1), a_(2m+2)) must be the
+    map of ``_paired(m, x^2)``, t -> 4m+1 - x^2/(4m+3 - x^2/t), for every
+    tail t.  With levels 0..m checked, the stream's depth-(2m+1) convergent
+    is the paired recursion through level m at t = infinity.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    plain = convergent_exact(xcot_spec(), SUITES["pairing"].depth(m))
-    xx = Poly([0, 0, 1])
-    chain = [f for j in range(m) for f in _paired(j, xx)] + _paired(m, xx)[:1]
-    return plain == RatFunc(*_fold(chain, Poly([4 * m + 3]), _P_ONE))
+    return _agree_for_every_tail(lambda k, x: _stream_steps(xcot_spec(), 2 * k, 2 * k + 1),
+                                 lambda k, x: _paired(k, x * x), m)
+
+
+def _flat_level(k: int, x: Poly) -> list[_Step]:
+    # halved level k as the sec-tan stream holds it: level 0 after the leading step (1, x)
+    return ([_step(1, x)] if k == 0 else []) + _halving_rhs(k, x)
 
 
 def verify_flattening(m: int) -> bool:
-    """Check that the flattened sec-tan stream reproduces the nested recursion.
+    """Decide that steps 4m+1..4m+4 of the sec-tan stream are the halved level m.
 
-    Cut rule (normative, established by these very checks): the flattened
-    depth-(4m+3) convergent equals 1 + x/N_m, where N_m is the halved
-    recursion unrolled from index 0 through m with the final level cut to
-    4m+1 - x/(2 - x/(4m+3)) — i.e. each full level contributes four
-    flattened terms and the cut level contributes its first two steps,
-    denominators 4m+1 and 2, folded onto the closing 4m+3.
+    The stream's steps must be the map of ``_halving_rhs(m, x)``,
+    t -> 4m+1 - x/(2 - x/(4m+3 + x/(2 + x/t))), for every tail t; at m = 0
+    both sides also start with the leading step (1, x), so that
+    sec(x) + tan(x) = 1 + x/halved_0(x).  With levels 0..m checked, the
+    stream's depth-(4m+4) convergent is the halved recursion through level
+    m at t = infinity.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    flat = convergent_exact(sec_tan_spec(), SUITES["flatten"].depth(m))
-    levels = [f for j in range(m) for f in _halving_rhs(j, _X)]
-    chain = [_step(1, _X), *levels, *_halving_rhs(m, _X)[:2]]  # 1 + x/N_m
-    return flat == RatFunc(*_fold(chain, Poly([4 * m + 3]), _P_ONE))
+    return _agree_for_every_tail(
+        lambda k, x: _stream_steps(sec_tan_spec(), 4 * k + 1 if k else 0, 4 * k + 4), _flat_level, m)
 
 
 def verify_series(order: int) -> bool:
@@ -485,7 +491,7 @@ def verify_series(order: int) -> bool:
 
 class Suite(NamedTuple):
     check: Callable[[int], bool]  # decides levels 0..m (the series: order m)
-    depth: Callable[[int], int]  # exact convergent depth folded at level m
+    depth: Callable[[int], int]  # deepest row (b_k, a_(k+1)) of a stream's steps read at level m
     default_level: int
 
 
@@ -495,14 +501,14 @@ SUITES = {
     "pairing": Suite(lambda m: all(verify_pairing(j) for j in range(m + 1)), lambda m: 2 * m + 1, 8),
     "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
     "halving": Suite(lambda m: all(verify_halving_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
-    "flatten": Suite(lambda m: all(verify_flattening(j) for j in range(m + 1)), lambda m: 4 * m + 3, 3),
+    "flatten": Suite(lambda m: all(verify_flattening(j) for j in range(m + 1)), lambda m: 4 * m + 4, 3),
     "series": Suite(lambda order: verify_series(order), lambda order: 2 * order + 3, 12),
 }
 
 
 def check_level(suite: str, level: int) -> None:
     """Raise ValueError, folding nothing, if checking ``suite`` at ``level``
-    needs a convergent deeper than MAX_EXACT_DEPTH."""
+    reads a stream row deeper than MAX_EXACT_DEPTH."""
     depth = SUITES[suite].depth(level)
     if depth > MAX_EXACT_DEPTH:
         raise ValueError(f"{suite} level {level} needs exact depth {depth}, past {MAX_EXACT_DEPTH}")

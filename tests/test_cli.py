@@ -314,6 +314,14 @@ def test_verify_level_beyond_exact_cap_is_usage_error(capsys, monkeypatch):
     assert "series level 31" in err
 
 
+def test_verify_passes_at_each_suite_cap(capsys):
+    # the deepest level check_level accepts for each capped suite
+    for suite, cap in (("pairing", 31), ("flatten", 15), ("series", 30)):
+        code, out, err = run(capsys, "verify", suite, "--max-level", str(cap), "--format", "csv")
+        assert (code, err) == (0, ""), suite
+        assert out.splitlines() == ["suite,passed", f"{suite},pass"]
+
+
 def test_verify_sampling_flags_are_gone(capsys):
     for flag in ("--trials", "--seed"):
         code, out, err = run(capsys, "verify", "offset", flag, "8")

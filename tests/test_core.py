@@ -13,12 +13,12 @@ from cfrac import (
     NoConvergence,
     PolyTerm,
     TermPair,
-    continuation_spec,
     core,
     eval_adaptive,
     eval_backward,
     eval_forward,
     eval_lentz,
+    expansions,
     halved_value,
     offset_value,
     paired_value,
@@ -127,18 +127,9 @@ def test_true_continuation_tail_is_at_least_as_accurate():
         reference = (1 + math.sin(x)) / math.cos(x)
         for depth in (4, 8, 16, 32):
             plain = eval_backward(flat, x, depth)
-            tail = eval_backward(continuation_spec(flat, depth + 1), x, 2 * depth)
+            tail = core._fold(flat, x, depth + 1, 2 * depth)  # b_(depth+1) + a_(depth+2)/(...)
             improved = eval_backward(flat, x, depth, tail=tail)
             assert abs(improved - reference) <= abs(plain - reference)
-
-
-def test_continuation_spec_shifts_indices():
-    cot = xcot_spec()
-    sub = continuation_spec(cot, 3)
-    assert sub.leading == cot.termgen(3).b
-    assert sub.termgen(1) == cot.termgen(4)
-    with pytest.raises(ValueError):
-        continuation_spec(cot, 0)
 
 
 def test_forward_agrees_with_backward():
@@ -163,11 +154,21 @@ def test_forward_at_zero():
 
 
 def test_forward_rescale_is_invisible():
-    """Forcing rescales at a low threshold must not change any convergent."""
-    for x in (1.0, 0.7, -1.3):
-        default = eval_forward(sec_tan_spec(), x, 12)
-        forced = eval_forward(sec_tan_spec(), x, 12, rescale_threshold=10.0)
-        assert forced == default
+    """Rescales that fire on their own leave every convergent bit-for-bit as
+    a forward recurrence that never rescales: x*cot(x) at depth 120, where
+    P_n passes the rescale point (about 1e236 at the end) and nothing overflows."""
+    spec = xcot_spec()
+    for x in (0.7, 3.0):
+        p_prev, p, q_prev, q = 1.0, 1.0, 0.0, 1.0  # P_0 = b0 = 1
+        plain, peak = [], 0.0
+        for n in range(1, 121):
+            a, b = term_at(spec, n, x)
+            p_prev, p = p, b * p + a * p_prev
+            q_prev, q = q, b * q + a * q_prev
+            plain.append(p / q)
+            peak = max(peak, abs(p), abs(q))
+        assert core._RESCALE_AT < peak < 1e300
+        assert eval_forward(spec, x, 120) == plain
 
 
 def test_lentz_reference_values():
@@ -223,6 +224,28 @@ def test_adaptive_no_convergence_when_capped():
 def test_adaptive_validates_target():
     with pytest.raises(ValueError):
         eval_adaptive(xcot_spec(), 1.0, 0.0)
+
+
+NAN_TARGET_CALLS = {
+    "eval_adaptive": lambda spec: eval_adaptive(spec, 1.0, math.nan),
+    "sec_tan": lambda spec: sec_tan(1.0, math.nan),
+    "eval_lentz": lambda spec: eval_lentz(spec, 1.0, math.nan, 100),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(NAN_TARGET_CALLS))
+def test_nan_target_is_rejected_before_any_term(evaluator, monkeypatch):
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return sec_tan_spec().termgen(k)
+
+    spec = CfSpec(name="counting", leading=poly(1), termgen=counting)
+    monkeypatch.setattr(expansions, "sec_tan_spec", lambda: spec)
+    with pytest.raises(ValueError, match="nan"):
+        NAN_TARGET_CALLS[evaluator](spec)
+    assert calls == []
 
 
 def test_deterministic_reruns():

@@ -610,6 +610,22 @@ def test_flattening_detects_sign_error(monkeypatch):
     assert not verify_flattening(0)
 
 
+@pytest.mark.parametrize(
+    "index, pair, failing",
+    [
+        (4, TermPair(a=poly(c2=-2), b=poly(9)), {1}),  # a_4 = -2x^2: in step 3, level 1
+        (5, TermPair(a=poly(c2=-1), b=poly(12)), {2}),  # b_5 = 12: in step 5, level 2
+    ],
+    ids=["a_4", "b_5"],
+)
+def test_pairing_decides_each_level_alone(monkeypatch, index, pair, failing):
+    # a defect in one x*cot(x) term fails the one level whose steps hold it
+    spec = CfSpec(name="xcot", leading=poly(1),
+                  termgen=lambda k: pair if k == index else xcot_spec().termgen(k))
+    monkeypatch.setattr(exact, "xcot_spec", lambda: spec)
+    assert {m for m in range(32) if not verify_pairing(m)} == failing
+
+
 def test_series_detects_off_by_one(monkeypatch):
     original = exact._zigzags
     monkeypatch.setattr(exact, "_zigzags",

@@ -1,5 +1,6 @@
 """The scripts run end to end with tiny arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,3 +28,7 @@ def test_study_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script == "bench_layers.py":  # one JSON object: layer -> microseconds per call
+        times = json.loads(proc.stdout)
+        assert "exact.SUITES[flatten].check(15)" in times and all(t > 0 for t in times.values())
+
