@@ -11,8 +11,10 @@ The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
 new copy of the spec, which builds that copy's exact steps.  Each suite
 of ``exact.SUITES`` is timed at its default level, and each capped suite
 also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
-CLI requests print into a discarded buffer.  Prints one JSON object
-mapping each layer to its time.
+``cli._parse`` row times the argument parse of the ``cli.main(eval ...)``
+row alone, so the two split a request into parse and handler.  The CLI
+requests print into a discarded buffer.  Prints one JSON object mapping
+each layer to its time.
 
 Usage:
     python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
@@ -61,8 +63,12 @@ def layers(cfrac) -> dict:
         for level in (suite.default_level, CAPS.get(name)):
             if level is not None:
                 calls[f"exact.SUITES[{name}].check({level})"] = lambda s=suite, m=level: s.check(m)
+    cli = cfrac.cli
+    # the parse alone; a checkout older than cli._parse parsed with the top-level parser
+    parse = getattr(cli, "_parse", None) or (lambda argv: cli._build_parser().parse_args(argv))
+    calls["cli._parse(eval sec-tan --x 1)"] = lambda: parse(["eval", "sec-tan", "--x", "1"])
     for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
-        calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cfrac.cli.main, argv)
+        calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cli.main, argv)
     return calls
 
 

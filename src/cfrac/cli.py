@@ -7,9 +7,11 @@ study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
 checks from ``exact.SUITES``.  The argparse parser is built once per set of
 stream names and suite levels and reused by every later ``main`` call in
-the same process; only a process that calls ``main`` more than once (a
-program or benchmark driving the CLI in a loop) gains from this, while a
-one-shot ``cfrac`` run still builds its one parser.  Handlers are looked up
+the same process.  A request that names a subcommand first is parsed by
+that subcommand's parser alone (``_parse``): argparse's top-level pass would
+only pick the same parser by name and hand it the rest of argv.  The
+top-level parser only handles help and errors: an empty argv, ``-h``, an
+unknown command, or an option before the command.  Handlers are looked up
 by name on every call, so a patched ``_cmd_*`` function runs.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
@@ -24,6 +26,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from gettext import gettext as _
 from math import factorial
 
 from . import exact
@@ -264,6 +267,7 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, filled in below
 
     p = sub.add_parser("eval", help="evaluate a function at a point")
     p.add_argument("function", choices=[*streams, "cot"])
@@ -330,9 +334,28 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` (``sys.argv[1:]`` if None) parsed as the top-level parser would parse it.
+
+    When ``argv[0]`` names a subcommand, its parser takes ``argv[1:]``
+    directly and leftovers are refused in ``parse_args``'s own words; any
+    other argv, which can only print help or fail, goes to the top level.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(_("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except UsageError as err:
         print(err, file=sys.stderr)
         return 1

@@ -198,7 +198,9 @@ def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
 
 def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = None) -> float:
     """``eval_backward``'s fold started at index ``start``: b_start + a_{start+1}/(...)."""
-    if tail is not None and abs(tail) < POLE_THRESHOLD:
+    if tail is not None and not abs(tail) >= POLE_THRESHOLD:  # nan fails >= too
+        if math.isnan(tail):
+            raise ValueError(f"tail estimate must not be nan, got {tail!r}")
         raise DivisionNearZero(f"tail estimate {tail!r} is below {POLE_THRESHOLD}")
     end = start + depth
     a0, a1, a2, b0, b1, b2 = _rows(cf, end if tail is None else end + 1)
@@ -223,7 +225,8 @@ def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -
     index depth + 1.
 
     Raises DivisionNearZero if any intermediate denominator (including the
-    supplied tail) has magnitude below POLE_THRESHOLD.
+    supplied tail) has magnitude below POLE_THRESHOLD, and ValueError,
+    before any term is generated, for a nan tail.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -419,3 +420,74 @@ def test_handler_patched_after_a_request_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_verify", patched)
     assert run(capsys, "verify", "offset", "--max-level", "1") == (3, "", "")
     assert seen == [("offset", 1)]
+
+
+DISPATCH_ARGVS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["eval"],
+    ["eval", "-h"],
+    ["eval", "sec-tan", "--x", "1", "--help"],
+    ["eval", "sec-tan", "--x", "1", "-h", "--bogus"],
+    ["eval", "sec-tan"],  # missing --x
+    ["eval", "sec-tan", "--x", "1", "--bogus"],
+    ["eval", "sec-tan", "--x", "1", "stray"],
+    ["series", "--order", "3", "a", "b"],
+    ["eval", "xcot", "--x", "abc", "--zz"],
+    ["eval", "sec-tan", "--x=-1/3", "--for", "json"],  # abbreviated option
+    ["eval", "xcot", "--x", "-1"],
+    ["eval", "cot", "--x", "0"],
+    ["nosuch"],
+    ["ev"],  # commands are not abbreviated
+    ["--x", "1", "eval", "sec-tan"],
+    ["-x"],
+    ["--form", "json"],
+    ["--", "terms", "xcot"],
+    ["terms", "--", "xcot"],
+    ["terms", "xcot", "--count", "2", "--", "x"],
+    ["verify", "series", "--max-level", "31"],
+    ["verify", "all"],
+    ["verify", "all", "--format", "csv"],
+    ["verify", "all", "--format", "json"],
+    ["study"],
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_dispatch_matches_the_top_level_parse(capsys, monkeypatch, argv):
+    direct = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert direct == run(capsys, *argv)
+
+
+def test_unrecognized_argument_after_a_command_is_refused_by_the_top_level(capsys):
+    code, out, err = run(capsys, "eval", "sec-tan", "--x", "1", "--bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cfrac [-h]")
+    assert err.endswith("\ncfrac: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_named_command_is_parsed_once(capsys, monkeypatch):
+    parsed = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def counting(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counting)
+    assert run(capsys, "eval", "sec-tan", "--x", "1")[0] == 0
+    assert parsed == ["cfrac eval"]
+    parsed.clear()
+    assert run(capsys, "nosuch")[0] == 1
+    assert parsed == ["cfrac"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["eval", "xcot", "--x", "1/2", "--format", "json"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["cfrac", *argv])
+    assert main() == expected[0]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == expected[1:]

@@ -233,8 +233,7 @@ NAN_TARGET_CALLS = {
 }
 
 
-@pytest.mark.parametrize("evaluator", list(NAN_TARGET_CALLS))
-def test_nan_target_is_rejected_before_any_term(evaluator, monkeypatch):
+def _assert_nan_rejected_before_any_term(call, monkeypatch):
     calls = []
 
     def counting(k):
@@ -244,8 +243,24 @@ def test_nan_target_is_rejected_before_any_term(evaluator, monkeypatch):
     spec = CfSpec(name="counting", leading=poly(1), termgen=counting)
     monkeypatch.setattr(expansions, "sec_tan_spec", lambda: spec)
     with pytest.raises(ValueError, match="nan"):
-        NAN_TARGET_CALLS[evaluator](spec)
+        call(spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("evaluator", list(NAN_TARGET_CALLS))
+def test_nan_target_is_rejected_before_any_term(evaluator, monkeypatch):
+    _assert_nan_rejected_before_any_term(NAN_TARGET_CALLS[evaluator], monkeypatch)
+
+
+NAN_TAIL_CALLS = {
+    "eval_backward": lambda spec: eval_backward(spec, 1.0, 8, tail=math.nan),
+    "halved_value": lambda spec: halved_value(0, 1.0, 3, tail=math.nan),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(NAN_TAIL_CALLS))
+def test_nan_tail_is_rejected_before_any_term(evaluator, monkeypatch):
+    _assert_nan_rejected_before_any_term(NAN_TAIL_CALLS[evaluator], monkeypatch)
 
 
 def test_deterministic_reruns():

@@ -657,7 +657,7 @@ def test_neighbouring_suites_share_each_recursion_level(monkeypatch, level, defe
 
 
 def test_check_level_applies_each_suite_depth_rule():
-    exact.check_level("flatten", 15)  # depth 63
+    exact.check_level("flatten", 15)  # depth 64
     exact.check_level("series", 30)  # depth 63
     exact.check_level("pairing", 31)  # depth 63
     exact.check_level("offset", 10**6)  # the tail rewrites fold no convergent

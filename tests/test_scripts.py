@@ -30,5 +30,6 @@ def test_study_script_runs(script, args):
     assert proc.stdout.strip()
     if script == "bench_layers.py":  # one JSON object: layer -> microseconds per call
         times = json.loads(proc.stdout)
-        assert "exact.SUITES[flatten].check(15)" in times and all(t > 0 for t in times.values())
+        assert {"exact.SUITES[flatten].check(15)", "cli._parse(eval sec-tan --x 1)"} <= set(times)
+        assert all(t > 0 for t in times.values())
 
