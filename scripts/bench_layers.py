@@ -11,8 +11,10 @@ The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
 new copy of the spec, which builds that copy's exact steps.  Each suite
 of ``exact.SUITES`` is timed at its default level, and each capped suite
 also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
-``cli._parse`` row times the argument parse of the ``cli.main(eval ...)``
-row alone, so the two split a request into parse and handler.  The CLI
+``cli._parse`` rows time the argument parse alone: that of the
+``cli.main(eval ...)`` row, so the two split a request into parse and
+handler, and one with an abbreviated option, which the option table
+leaves to argparse, so both parse paths are timed.  The CLI
 requests print into a discarded buffer.  Prints one JSON object mapping
 each layer to its time.
 
@@ -66,7 +68,9 @@ def layers(cfrac) -> dict:
     cli = cfrac.cli
     # the parse alone; a checkout older than cli._parse parsed with the top-level parser
     parse = getattr(cli, "_parse", None) or (lambda argv: cli._build_parser().parse_args(argv))
-    calls["cli._parse(eval sec-tan --x 1)"] = lambda: parse(["eval", "sec-tan", "--x", "1"])
+    plain = ["eval", "sec-tan", "--x", "1"]  # the option table parses it; an abbreviation it does not
+    for argv in (plain, [*plain, "--meth", "adaptive"]):
+        calls[f"cli._parse({' '.join(argv)})"] = lambda argv=argv: parse(argv)
     for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
         calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cli.main, argv)
     return calls

@@ -7,12 +7,26 @@ study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
 checks from ``exact.SUITES``.  The argparse parser is built once per set of
 stream names and suite levels and reused by every later ``main`` call in
-the same process.  A request that names a subcommand first is parsed by
-that subcommand's parser alone (``_parse``): argparse's top-level pass would
-only pick the same parser by name and hand it the rest of argv.  The
-top-level parser only handles help and errors: an empty argv, ``-h``, an
-unknown command, or an option before the command.  Handlers are looked up
-by name on every call, so a patched ``_cmd_*`` function runs.
+the same process, together with an option table per subcommand.
+
+A request that names a subcommand first is parsed by that subcommand's
+option table in one pass (``_parse``): exact ``--opt value`` and
+``--opt=value`` options and in-order positionals, each value through its
+action's type and choices, the defaults filled as argparse fills them.
+The table declines anything else to argparse, which stays the reference:
+help, an abbreviated option, ``--``, a separate value starting with
+``-`` (so ``--x=-1/8``, not ``--x -1/8``, is a plain request), an extra or
+missing positional or required option, and any invalid value, the empty
+one included.  A declined request is parsed by the subcommand's parser
+alone, so help and every error message are argparse's.  The top-level
+parser only handles an empty argv, ``-h``, an unknown command, or an
+option before the command.  Handlers are looked up by name on every call,
+so a patched ``_cmd_*`` function runs.
+
+Depth flags (``eval --depth``, ``convergents --depth``, ``study
+--max-depth``) stop at ``DEFAULT_MAX_DEPTH``, and a decimal ``--x`` with an
+exponent beyond 5000 is refused before ``Fraction`` builds the power of
+ten.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -24,13 +38,16 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from gettext import gettext as _
 from math import factorial
+from typing import NamedTuple
 
 from . import exact
 from .core import (
+    DEFAULT_MAX_DEPTH,
     POLE_THRESHOLD,
     CfSpec,
     DivisionNearZero,
@@ -50,6 +67,11 @@ DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
+# No finite nonzero float needs a larger decimal exponent: int() caps the
+# mantissa at 4300 digits, so beyond this the text over- or underflows, and
+# Fraction would first build 10**exponent.
+_MAX_EXPONENT = 5000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class UsageError(Exception):
@@ -63,6 +85,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_arg(text: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
         value = Fraction(text)
         float(value)  # every command evaluates at float(x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -70,7 +95,7 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -78,12 +103,15 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
 
 
-_positive_int, _nonneg_int = _int_at_least(1), _int_at_least(0)
+# a depth flag stops where eval_adaptive and sec_tan stop
+_depth_arg, _nonneg_int = _int_at_least(1, DEFAULT_MAX_DEPTH), _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -280,9 +308,9 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
     )
     p.add_argument(
         "--depth",
-        type=_positive_int,
+        type=_depth_arg,
         help=f"truncation depth for backward/forward (default {DEFAULT_FIXED_DEPTH}); "
-        f"iteration cap for lentz (default {DEFAULT_MAX_TERMS})",
+        f"iteration cap for lentz (default {DEFAULT_MAX_TERMS}); at most {DEFAULT_MAX_DEPTH}",
     )
     p.add_argument(
         "--rel-err",
@@ -296,7 +324,12 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
     p = sub.add_parser("convergents", help="table of successive convergents")
     p.add_argument("function", choices=streams)
     _add_x_flag(p)
-    p.add_argument("--depth", type=_positive_int, default=16, help="number of convergents (default 16)")
+    p.add_argument(
+        "--depth",
+        type=_depth_arg,
+        default=16,
+        help=f"number of convergents (default 16, at most {DEFAULT_MAX_DEPTH})",
+    )
     _add_format_flag(p)
 
     p = sub.add_parser("series", help="exact Taylor coefficients of sec(x)+tan(x)")
@@ -325,30 +358,111 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
     p.add_argument(
         "--max-depth",
         dest="max_depth",
-        type=_positive_int,
+        type=_depth_arg,
         default=64,
-        help="largest truncation depth (default 64)",
+        help=f"largest truncation depth (default 64, at most {DEFAULT_MAX_DEPTH})",
     )
     _add_format_flag(p)
 
+    for command in parser.commands.values():
+        command.table = _OptionTable.of(command)
     return parser
+
+
+class _OptionTable(NamedTuple):
+    """A subcommand's single-value actions, enough to parse a plain request without argparse.
+
+    ``options`` maps the option strings of each single-value store action
+    to it, ``positionals`` lists the positional actions in order and
+    ``actions`` every action with a dest, in the parser's order.  Any
+    other option (here only ``-h``) is unknown to the table.
+    """
+
+    options: dict[str, argparse.Action]
+    positionals: tuple[argparse.Action, ...]
+    actions: tuple[argparse.Action, ...]
+
+    @classmethod
+    def of(cls, parser: argparse.ArgumentParser) -> _OptionTable | None:
+        """The table of ``parser``, or None if a positional takes other than one value."""
+        actions = parser._actions
+        single = [a for a in actions if type(a) is argparse._StoreAction and a.nargs is None]
+        positionals = tuple(a for a in actions if not a.option_strings)
+        if not set(positionals) <= set(single):
+            return None
+        return cls(
+            {option: action for action in single for option in action.option_strings},
+            positionals,
+            tuple(a for a in actions if a.dest is not argparse.SUPPRESS),
+        )
+
+    def parse(self, tokens: list[str]) -> argparse.Namespace | None:
+        """``tokens`` parsed as the subcommand's parser would, or None to leave them to it.
+
+        Takes exact ``--opt value`` and ``--opt=value`` options and the
+        positionals in order, runs each value through its action's type
+        and choices, and fills the defaults of unseen actions, a string
+        default through its type.  Anything else (help, an abbreviation,
+        ``--``, a separate value starting with ``-``, an extra or missing
+        positional, a missing required option, a type or choices failure,
+        which is also how an empty value fails here) gives None, so
+        argparse prints the help or the error.
+        """
+        seen = {}
+        positionals = iter(self.positionals)
+        tokens = iter(tokens)
+        try:
+            for token in tokens:
+                if token[:1] == "-":
+                    option, equals, text = token.partition("=")
+                    action = self.options[option]
+                    if not equals:
+                        text = next(tokens)
+                        if text[:1] == "-":  # argparse decides whether it is an option
+                            return None
+                else:
+                    action, text = next(positionals), token
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+                seen[action] = value
+            args = argparse.Namespace()
+            values = vars(args)  # filled directly: Namespace(**values) costs a setattr each
+            for action in self.actions:
+                if action in seen:
+                    values[action.dest] = seen[action]
+                elif action.required:
+                    return None
+                elif action.default is argparse.SUPPRESS:
+                    continue
+                elif isinstance(action.default, str) and action.type is not None:
+                    values[action.dest] = action.type(action.default)
+                else:
+                    values[action.dest] = action.default
+        except (KeyError, StopIteration, argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        return args
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """``argv`` (``sys.argv[1:]`` if None) parsed as the top-level parser would parse it.
 
-    When ``argv[0]`` names a subcommand, its parser takes ``argv[1:]``
-    directly and leftovers are refused in ``parse_args``'s own words; any
-    other argv, which can only print help or fail, goes to the top level.
+    When ``argv[0]`` names a subcommand, its option table parses
+    ``argv[1:]`` in one pass (``_OptionTable.parse``); a request the table
+    declines goes to that subcommand's parser, whose leftovers are refused
+    in ``parse_args``'s own words.  Any other argv, which can only print
+    help or fail, goes to the top level.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(_("unrecognized arguments: %s") % " ".join(extras))
+    args = command.table and command.table.parse(argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(_("unrecognized arguments: %s") % " ".join(extras))
     args.command = argv[0]
     return args
 

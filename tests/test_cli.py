@@ -1,14 +1,19 @@
+import argparse
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cfrac import cli, exact, xcot_spec
+from cfrac import DEFAULT_MAX_DEPTH, CfSpec, cli, exact, xcot_spec
 from cfrac.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -451,6 +456,16 @@ DISPATCH_ARGVS = (
     ["verify", "all", "--format", "csv"],
     ["verify", "all", "--format", "json"],
     ["study"],
+    ["eval", "sec-tan", "--x=-1/8"],  # an attached value may start with "-"
+    ["eval", "sec-tan", "--x", "-0.4"],  # a separate one is argparse's to read
+    ["eval", "sec-tan", "--x", "-1/8"],
+    ["eval", "sec-tan", "--x="],
+    ["eval", "sec-tan", "--x", "1", "--format="],
+    ["eval", "sec-tan", "--x", "2", "--format", "csv", "--x=1/2", "--format=json"],  # last one wins
+    ["eval", "--x=1", "--format", "csv", "sec-tan"],  # a positional after options
+    ["eval", "sec-tan", "--x", "1", "-"],
+    ["eval", "sec-tan", "--x", "1", "--method", "backward", "--depth", "0"],
+    ["eval", "sec-tan", "--x", "1", "--method", "backward", "--depth", "4097"],
 )
 
 
@@ -478,7 +493,9 @@ def test_a_named_command_is_parsed_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "parse_known_args", counting)
     assert run(capsys, "eval", "sec-tan", "--x", "1")[0] == 0
-    assert parsed == ["cfrac eval"]
+    assert parsed == []  # the option table parsed it
+    assert run(capsys, "eval", "sec-tan", "--x", "1", "--meth", "adaptive")[0] == 0
+    assert parsed == ["cfrac eval"]  # an abbreviation is argparse's
     parsed.clear()
     assert run(capsys, "nosuch")[0] == 1
     assert parsed == ["cfrac"]
@@ -491,3 +508,188 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     assert main() == expected[0]
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == expected[1:]
+
+
+# texts for each argument type, valid and invalid
+TYPE_SAMPLES = {
+    cli._fraction_arg: ["1", "0.731", "-1/8", "-0.4", "2.5E+2", "1_000e-3", " 3/7 ", "1e-400",
+                        "1e400", "1e-5001", "1e5001", "abc", "1/0", "nan", "0x10"],
+    cli._depth_arg: ["1", "4096", "0", "4097", "-1", "1.5", "1_0", "x"],
+    cli._nonneg_int: ["0", "30", "31", "-1", "x"],
+    cli._positive_float: ["1e-12", "0.5", "inf", "0", "-1", "nan", "x"],
+}
+
+
+def _samples(action):
+    if action.choices is not None:
+        return [*action.choices, "nosuch", "-x"]
+    return TYPE_SAMPLES[action.type]
+
+
+def _corpus(name):
+    """argv built from the subcommand's own option strings, with valid and invalid values."""
+    command = cli._build_parser().commands[name]
+    actions = [a for a in command._actions if a.dest != "help"]
+    positionals = [a for a in actions if not a.option_strings]
+    options = [a for a in actions if a.option_strings]
+
+    def spelled(action, text, attached=False):
+        if not action.option_strings:
+            return [text]
+        option = action.option_strings[0]
+        return [f"{option}={text}"] if attached else [option, text]
+
+    base = {a: spelled(a, _samples(a)[0]) for a in actions if a.required}
+    corpus = []
+
+    def add(parts, *extra):
+        for order in (positionals + options, options + positionals):  # positionals first or last
+            corpus.append([name, *(t for a in order if a in parts for t in parts[a]), *extra])
+
+    add(base)
+    for action in actions:
+        add({a: p for a, p in base.items() if a is not action})  # one part missing
+        for text in _samples(action):
+            add({**base, action: spelled(action, text)})
+            if action.option_strings:
+                add({**base, action: spelled(action, text, attached=True)})
+        if action.option_strings:
+            option = action.option_strings[0]
+            text = _samples(action)[0]
+            add(base, option, text, option, _samples(action)[1])  # repeated
+            add(base, option[:-1], text)  # abbreviated
+            add(base, option)  # no value
+            add(base, f"{option}=")
+            add(base, option, "--", text)
+    for extra in (["-h"], ["--"], ["-"], [""], ["extra"], ["--bogus"], ["--bogus=1"]):
+        add(base, *extra)
+    return corpus
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except cli.UsageError as err:
+        result = ("usage error", str(err))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["eval", "convergents", "series", "verify", "terms", "study"])
+def test_option_table_parses_as_argparse_does(capsys, monkeypatch, name):
+    parser = cli._build_parser()
+    assert set(parser.commands) == {"eval", "convergents", "series", "verify", "terms", "study"}
+    declined = []
+    table_parse = cli._OptionTable.parse
+
+    def recording(table, tokens):
+        args = table_parse(table, tokens)
+        declined.append(args is None)
+        return args
+
+    monkeypatch.setattr(cli._OptionTable, "parse", recording)
+    corpus = _corpus(name)
+    for argv in corpus:
+        assert _outcome(cli._parse, argv, capsys) == _outcome(parser.parse_args, argv, capsys), argv
+    # both paths ran: the table parsed some requests and left others to argparse
+    assert len(declined) == len(corpus) and 0 < sum(declined) < len(corpus)
+
+
+def test_option_table_fills_defaults_as_argparse_does():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--n", type=int, default="7")  # a string default goes through its type
+    parser.add_argument("--f", type=Fraction, default=Fraction(1, 2))
+    parser.add_argument("--s", default=argparse.SUPPRESS)
+    parser.add_argument("--t", type=int, default=argparse.SUPPRESS)  # set only when given
+    table = cli._OptionTable.of(parser)
+    for argv in ([], ["--n", "3"], ["--f=1/3", "--s", "a"], ["--t", "5"]):
+        assert table.parse(argv) == parser.parse_args(argv), argv
+    parser.add_argument("rest", nargs="*")
+    assert cli._OptionTable.of(parser) is None  # every request goes to argparse
+
+
+def test_option_table_parses_the_plain_requests_of_the_benchmark():
+    parser = cli._build_parser()
+    for argv in (
+        ["eval", "cot", "--x=-1.4551915228366852e-11", "--method", "lentz", "--format", "json"],
+        ["eval", "xcot", "--x=7/8", "--method", "backward", "--format", "csv"],
+        ["convergents", "sec-tan", "--x=-3/8", "--depth", "17", "--format", "csv"],
+        ["terms", "xcot", "--count", "0", "--format", "text"],
+        ["series", "--order", "24", "--format", "json"],
+        ["verify", "series", "--max-level", "31"],  # parses; check_level refuses it later
+        ["verify", "all"],
+    ):
+        args = parser.commands[argv[0]].table.parse(argv[1:])
+        assert args == parser.commands[argv[0]].parse_args(argv[1:]), argv
+
+
+def _counting_specs(monkeypatch):
+    terms = []
+
+    def counting(k):
+        terms.append(k)
+        return xcot_spec().termgen(k)
+
+    spec = CfSpec(name="counting", leading=xcot_spec().leading, termgen=counting)
+    for name in list(cli._SPECS):
+        monkeypatch.setitem(cli._SPECS, name, lambda: spec)
+    return terms
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "xcot", "--x=0.5", "--method", "backward", "--depth", "1000000"],
+    ["eval", "sec-tan", "--x=0.5", "--method", "lentz", "--depth=4097"],
+    ["convergents", "xcot", "--x=0.5", "--depth", "4097"],
+    ["study", "xcot", "--x=0.5", "--max-depth", "1000000"],
+])
+def test_depth_beyond_the_cap_is_refused_before_any_term(capsys, monkeypatch, argv):
+    terms = _counting_specs(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, terms) == (1, "", [])
+    assert err.endswith(f"must be <= {DEFAULT_MAX_DEPTH}, got {argv[-1].split('=')[-1]}\n")
+
+
+def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
+    terms = _counting_specs(monkeypatch)
+    argv = ["eval", "xcot", "--x=0.5", "--method", "forward", "--depth", "4096"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert max(terms) == DEFAULT_MAX_DEPTH
+
+
+HUGE_EXPONENT_SCRIPT = """
+import sys
+from cfrac import cli
+from cfrac.core import CfSpec
+terms = []
+for name, make in list(cli._SPECS.items()):
+    spec = make()
+    cli._SPECS[name] = lambda spec=spec: CfSpec(
+        name=spec.name, leading=spec.leading, termgen=lambda k: terms.append(k) or spec.termgen(k))
+code = cli.main(sys.argv[1:])
+print(f"terms={len(terms)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "x_text", ["1e-10000000", "-1e-10000000", "1e+10000000", "1E1_000_000", "1e5001"]
+)
+def test_huge_decimal_exponent_is_refused_at_once(x_text):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_EXPONENT_SCRIPT, "eval", "sec-tan", f"--x={x_text}"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "not a p/q or decimal in float range" in proc.stderr
+    assert proc.stderr.endswith("terms=0\n")
+
+
+def test_decimal_exponent_up_to_the_bound_still_parses(capsys):
+    assert cli._fraction_arg("1e-5000") == Fraction(1, 10**5000)  # underflows to x = 0.0
+    assert cli._fraction_arg("0." + "0" * 4000 + "1e4300") == Fraction(10**299)
+    code, out, err = run(capsys, "eval", "sec-tan", "--x=1e5000")
+    assert code == 1 and "float range" in err

@@ -30,6 +30,10 @@ def test_study_script_runs(script, args):
     assert proc.stdout.strip()
     if script == "bench_layers.py":  # one JSON object: layer -> microseconds per call
         times = json.loads(proc.stdout)
-        assert {"exact.SUITES[flatten].check(15)", "cli._parse(eval sec-tan --x 1)"} <= set(times)
+        assert {
+            "exact.SUITES[flatten].check(15)",
+            "cli._parse(eval sec-tan --x 1)",  # the option table's path
+            "cli._parse(eval sec-tan --x 1 --meth adaptive)",  # argparse's
+        } <= set(times)
         assert all(t > 0 for t in times.values())
 
