@@ -7,8 +7,10 @@ between them, to compare commits on one machine.  Each layer gets one
 warm-up call, which fills its term table, then ``--repeat`` runs of
 ``--number`` calls, or of as many calls as one timed call says fit in
 about 0.2 s if that is fewer; the fastest run's mean per call is reported.
-The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
-new copy of the spec, which builds that copy's exact steps.  Each suite
+The ``convergent_exact`` rows run from depth 2 and 4, where the per-call
+overhead of the exact fold weighs most, to 60.  The ``fresh`` rows time a
+first call instead: ``convergent_exact`` on a new copy of the spec, which
+builds that copy's exact steps.  Each suite
 of ``exact.SUITES`` is timed at its default level, and each capped suite
 also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
 ``cli._parse`` rows time the argument parse alone: that of the
@@ -50,6 +52,9 @@ def layers(cfrac) -> dict:
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
     exact = cfrac.exact
+    for spec, depth in ((flat, 2), (xcot, 4)):  # the shallowest, where per-call overhead shows first
+        calls[f"convergent_exact({spec.name}, {depth})"] = (
+            lambda s=spec, d=depth: exact.convergent_exact(s, d))
     for spec in (flat, xcot):  # shallow, like most exact-deep cases (depths 2-24)
         calls[f"convergent_exact({spec.name}, 12)"] = lambda s=spec: exact.convergent_exact(s, 12)
         # cold: a fresh copy of the spec, whose first call builds its exact steps

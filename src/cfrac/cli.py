@@ -5,9 +5,9 @@ convergents), series (exact Taylor coefficients), verify (exact identity
 suites, each decided rather than sampled), terms (term-stream inspection),
 study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
-checks from ``exact.SUITES``.  The argparse parser is built once per set of
-stream names and suite levels and reused by every later ``main`` call in
-the same process, together with an option table per subcommand.
+checks from ``exact.SUITES``.  The argparse parser and an option table per
+subcommand are built once and reused by every later ``main`` call in the
+same process until either of those two tables changes.
 
 A request that names a subcommand first is parsed by that subcommand's
 option table in one pass (``_parse``): exact ``--opt value`` and
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import re
 import sys
@@ -67,6 +66,7 @@ DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
+_last_parser = ({}, {}, None)  # copies of the _SPECS and exact.SUITES it was built for, and it
 # No finite nonzero float needs a larger decimal exponent: int() caps the
 # mantissa at 4300 digits, so beyond this the text over- or underflows, and
 # Fraction would first build 10**exponent.
@@ -89,7 +89,8 @@ def _fraction_arg(text: str) -> Fraction:
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
         value = Fraction(text)
-        float(value)  # every command evaluates at float(x)
+        if float(value) == 0 != value:  # every command evaluates at float(x): no overflow or underflow
+            raise ValueError("underflows to 0.0")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a p/q or decimal in float range: {text!r}") from exc
     return value
@@ -279,12 +280,14 @@ def _add_x_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> _Parser:
-    """The parser for the current stream names and suite levels, built once per set of them."""
-    levels = tuple((name, suite.default_level) for name, suite in exact.SUITES.items())
-    return _parser_for(tuple(_SPECS), levels)
+    """The parser for the current stream names and suite levels, rebuilt only when either table changes."""
+    global _last_parser
+    if _last_parser[:2] != (_SPECS, exact.SUITES):
+        levels = tuple((name, suite.default_level) for name, suite in exact.SUITES.items())
+        _last_parser = dict(_SPECS), dict(exact.SUITES), _parser_for(tuple(_SPECS), levels)
+    return _last_parser[2]
 
 
-@functools.lru_cache(maxsize=4)  # a new key only when _SPECS or a suite level changes
 def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -> _Parser:
     parser = _Parser(
         prog="cfrac",

@@ -12,34 +12,33 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 - ``verify_flattening``: steps 4m+1..4m+4 of the sec-tan stream are the
   halved level m, for every tail value t (level 0 after the leading step).
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
-  zigzag(n)/n!, with the zigzag numbers from one boustrophedon triangle
-  (``_zigzags``) alone.  ``alternating_count`` counts alternating permutations
-  by brute force; the test suite uses it to cross-check ``zigzag`` for
-  n <= 8.
+  zigzag(n)/n!, from one boustrophedon triangle (``_zigzags``); the tests
+  cross-check ``zigzag`` for n <= 8 with ``alternating_count``.
 
 Each recursion level is written once, as a list of continued-fraction
-steps t -> b + a/t (Jones & Thron 1980; the offset link's shift t -> t + c
-is the two steps c + 1/(0 + 1/t)), and the next link reuses it
-(``_paired``, ``_offset_rhs``, ``_halving_rhs``), so neighbouring suites
-check the same object and the five checks form one chain.  The four
-algebraic suites each decide one level by one primitive,
-``_agree_for_every_tail``, whose sides are step lists: a level or a slice
-of a stream's step table, generated once per ``CfSpec`` (``_steps``).  By
-associativity, a stream that agrees with the levels 0..m for every tail
-has, at t = infinity, their convergents.  ``_fold`` applies a list
-inside-out to a (num, den) pair, one multiply-add of coefficient lists per
-step, and ``convergent_exact`` is that fold over the first rows of a
-stream's step table: the layer has one exact fold.  ``SUITES`` lists the
-suites in derivation order with the deepest stream row each reads and
-their default levels.
+steps t -> b + a/t (Jones & Thron 1980; a shift t -> t + c is the two steps
+c + 1/(0 + 1/t)), and the next link reuses it (``_paired``, ``_offset_rhs``,
+``_halving_rhs``), so the five checks form one chain.  The four algebraic
+suites decide one level each with ``_agree_for_every_tail``, whose sides
+are step lists: a level or a slice of a stream's step table, generated
+once per ``CfSpec`` (``_steps``).  By associativity, a stream that agrees
+with the levels 0..m for every tail has, at t = infinity, their
+convergents.  ``SUITES`` lists the suites in derivation order with the
+deepest stream row each reads and their default levels.
 
-Every check is a decision with zero tolerance, never a sample.  Scalars
-are exact: a coefficient is a plain ``int`` when it is integral and a
-``fractions.Fraction`` only where it is not, so both built-in streams run
-on ints alone (their convergents have integer coefficients), and every
-division yields a ``Fraction``, never a float.  ``Poly`` and ``RatFunc`` are
-kept deliberately minimal (univariate, dense, never reduced) — no general
-computer-algebra ambitions.
+The layer has one exact fold of steps (``_cleared``, ``_packed``), shared
+by ``convergent_exact`` and every suite.  It holds a polynomial p as the
+int p(2^w) (Kronecker substitution), so a step is a few big-int
+operations.  The width is safe: the same fold on the |coefficients| at
+x = 1 bounds the sum of the result's |coefficients| by M, and with
+M < 2^(w-1) each coefficient is one balanced w-bit digit, so distinct
+polynomials have distinct values.  Fraction coefficients are cleared by
+one common denominator, which is divided out once.
+
+Every check is a decision with zero tolerance, never a sample.  A
+coefficient is an ``int`` when integral and a ``Fraction`` otherwise, never
+a float.  ``Poly`` and ``RatFunc`` are deliberately minimal (univariate,
+dense, never reduced).
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_exact(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -163,7 +162,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 _ZERO = Fraction(0)
-_P_ZERO = Poly()
 _P_ONE = Poly([1])
 _X = Poly([0, 1])
 
@@ -204,22 +202,20 @@ class RatFunc:
 def convergent_exact(cf: CfSpec, depth: int) -> RatFunc:
     """The depth-``depth`` convergent P_n/Q_n of ``cf`` as an exact rational function.
 
-    Folds the steps t -> b_k + a_(k+1)/t, k = 0..n, onto t = infinity (so
-    onto the tail b_n; ``_fold``), reducing nothing; a continuant folded
-    inside-out is the one of the forward three-term recurrence, so these are
-    its P_n and Q_n.  The steps are the spec's table (``_steps``), so a call
-    generates only terms that no earlier call on the spec generated.
-    Coefficients are ints wherever the terms' are integral (both built-in
-    streams), Fractions otherwise.  By the determinant formula
-    P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k (Jones & Thron
-    1980), gcd(P_n, Q_n) divides a_1*...*a_n, a power of x for both
-    built-in streams.  Depth is capped at MAX_EXACT_DEPTH.
+    Folds the steps t -> b_k + a_(k+1)/t, k = 0..n, of the spec's table
+    (``_steps``, so no term is generated twice) onto t = infinity, reducing
+    nothing; a continuant folded inside-out is the one of the forward
+    three-term recurrence, so these are its P_n and Q_n.  Coefficients are
+    ints wherever the terms' are integral (both built-in streams).  By the
+    determinant formula P_k*Q_{k-1} - P_{k-1}*Q_k = (-1)^(k-1) * a_1*...*a_k
+    (Jones & Thron 1980), gcd(P_n, Q_n) divides a_1*...*a_n, a power of x
+    for both built-in streams.  Depth is capped at MAX_EXACT_DEPTH.
 
     Raises DegenerateConvergent exactly when Q_n is the zero polynomial.
     """
     if not 1 <= depth <= MAX_EXACT_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_EXACT_DEPTH}, got {depth}")
-    num, den = _fold(_steps(cf, depth)[: depth + 1], _P_ONE, _P_ZERO)
+    num, den = _fold(_steps(cf, depth)[: depth + 1])
     if den.is_zero:
         raise DegenerateConvergent(f"convergent of {cf.name!r} has Q_{depth} = 0")
     return RatFunc(num, den)
@@ -313,7 +309,8 @@ _Step = tuple[list, list]
 
 def _step(b, a) -> _Step:
     """The step t -> b + a/t; b and a are each a scalar, a Poly or a coefficient tuple, x^0 first."""
-    b, a = (c if isinstance(c, tuple) else c.coeffs if isinstance(c, Poly) else (c,) for c in (b, a))
+    b = b.coeffs if isinstance(b, Poly) else b if isinstance(b, tuple) else (b,)
+    a = a.coeffs if isinstance(a, Poly) else a if isinstance(a, tuple) else (a,)
     return [(i, c) for i, c in enumerate(b) if c], [(i, c) for i, c in enumerate(a) if c]
 
 
@@ -344,29 +341,61 @@ def _shift(c: Poly) -> list[_Step]:
     return [_step(c, 1), _step(0, 1)]
 
 
-def _fold(steps: list[_Step], num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Apply ``steps`` to the tail num/den, innermost (last) first; a (num, den) pair.
+def _fold(steps: list[_Step]) -> tuple[Poly, Poly]:
+    """Apply ``steps`` to t = infinity, the pair (1, 0), innermost (last) first; a (num, den)
+    pair.  A step (b, a) maps (num, den) to (b*num + a*den, num); nothing is divided."""
+    lcm, steps, bound = _cleared(steps, 1, 0)
+    w = (bound.bit_length() + 8) // 8 * 8  # whole bytes, each coefficient below 2^(w-1)
+    n, d = _packed(steps, lcm, 1, 0, w)
+    scale = lcm ** (len(steps) + 1)
+    return _unpack(n, w, scale), _unpack(d, w, scale)
 
-    A step (b, a) maps (num, den) to (b*num + a*den, num).  Projective:
-    nothing is divided, so a step that meets a zero denominator still gives
-    a pair, and (1, 0) stands for t = infinity.
-    """
-    num, den = list(num.coeffs), list(den.coeffs)
+
+def _cleared(steps: list[_Step], n: int, d: int) -> tuple[int, list[_Step], int]:
+    """(L, the steps (L*b, L^2*a), M): L clears every denominator, and M, the fold of the
+    |coefficients| at x = 1 onto (n, d) times L^(s+1) for s steps, bounds each coefficient
+    of the ``_packed`` fold onto a tail whose coefficient sums are (n, d)."""
     for b, a in reversed(steps):
-        num, den = _mul_add(b, num, a, den), num
-    return Poly(num), Poly(den)
+        m = 0 * d  # d's type: a Fraction anywhere stays in the pair
+        for _, c in b:
+            m += abs(c) * n
+        for _, c in a:
+            m += abs(c) * d
+        n, d = m, n
+    if type(n) is int and type(d) is int:
+        return 1, steps, max(n, d)
+    lcm = math.lcm(*(c.denominator for b, a in steps for _, c in b + a))
+    steps = [([(i, int(c * lcm)) for i, c in b], [(i, int(c * lcm * lcm)) for i, c in a]) for b, a in steps]
+    return lcm, steps, int(max(n, d) * lcm ** (len(steps) + 1))
 
 
-def _mul_add(b, p: list, a, r: list) -> list:
-    """Coefficient list of b*p + a*r, with b and a given as in a ``_Step``."""
-    out = [0] * max(b[-1][0] + len(p) if b else 0, a[-1][0] + len(r) if a else 0)
-    for term, poly in ((b, p), (a, r)):
-        for i, c in term:
-            for j, pj in enumerate(poly, i):
-                out[j] += c * pj
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _packed(steps: list[_Step], lcm: int, n: int, d: int, shift: int) -> tuple[int, int]:
+    """L^(s+1) times the fold onto (n, d) of the s steps whose ``_cleared`` form, diag(L, 1)
+    (b, a) diag(1, L) as matrices, is given; a polynomial p is held as p(2^shift)."""
+    n *= lcm
+    for b, a in reversed(steps):
+        m = 0
+        for i, c in b:
+            m += c * n << i * shift
+        for i, c in a:
+            m += c * d << i * shift
+        n, d = m, n
+    return n, d * lcm
+
+
+def _unpack(v: int, w: int, scale: int) -> Poly:
+    """p/scale, where p(2^w) = v and each coefficient of p is below 2^(w-1) in size; 8 | w."""
+    half, mask, cs = 1 << w - 1, (1 << w) - 1, []
+    if abs(v).bit_length() < 4096:  # one balanced digit at a time; quadratic, so a long v is bytes
+        while v:
+            cs.append((v + half & mask) - half)
+            v = v - cs[-1] >> w
+    else:
+        size, count = w // 8, abs(v).bit_length() // w + 1  # deg*w <= bits < (deg+1)*w
+        v += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")  # 2^(w-1) on every digit
+        data = v.to_bytes(size * count, "little")
+        cs = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, size * count, size)]
+    return Poly(cs if scale == 1 else [Fraction(c, scale) for c in cs])
 
 
 def _agree_for_every_tail(
@@ -376,22 +405,20 @@ def _agree_for_every_tail(
 ) -> bool:
     """Decide lhs(k, x) == rhs(k, x) as rational functions of x and the tail t.
 
-    Each side is a step list at the indeterminate x, so it is a Moebius
-    map in t whose entries are polynomials in x: folded onto t = infinity,
-    the pair (1, 0), and onto t = 0, the pair (0, 1), lhs gives the columns
-    (a, c) and (b, d) of t -> (a*t + b)/(c*t + d), and rhs likewise (p, r)
-    and (q, s).  Cross-multiplied, the sides differ by (a*r - p*c)*t^2 +
-    (a*s + b*r - p*d - q*c)*t + (b*s - q*d), so they agree for every t
-    exactly when these three coefficients are the zero polynomial.  A side
-    whose denominator is the zero polynomial fails the check.
+    Each side is a step list at x, so a Moebius map in t: folded onto the
+    pair (t, 1), lhs gives (a*t + b, c*t + d) and rhs (p*t + q, r*t + s).
+    They agree for every t exactly when (a*t + b)*(r*t + s) equals
+    (p*t + q)*(c*t + d) in x and t.  At t = 2^w and x = 2^(3w) each x^i*t^j,
+    j <= 2, of a product has its own w-bit digit, and each coefficient is at
+    most M^2 < 2^(w-1), M the larger ``_cleared`` bound, so the products are
+    equal exactly when their values are.  A zero denominator fails.
     """
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
-    tails = ((_P_ONE, _P_ZERO), (_P_ZERO, _P_ONE))  # t = infinity, t = 0
-    (a, c), (b, d), (p, r), (q, s) = (_fold(side(k, _X), *t) for side in (lhs, rhs) for t in tails)
-    if (c.is_zero and d.is_zero) or (r.is_zero and s.is_zero):
-        return False
-    return a * r == p * c and a * s + b * r == p * d + q * c and b * s == q * d
+    sides = [_cleared(side(k, _X), 1, 1) for side in (lhs, rhs)]
+    w = 2 * max(bound for *_, bound in sides).bit_length() + 1
+    (a, c), (p, r) = (_packed(steps, lcm, 1 << w, 1, 3 * w) for lcm, steps, _ in sides)
+    return c != 0 and r != 0 and a * r == p * c
 
 
 def _paired(k: int, xx: Poly) -> list[_Step]:

@@ -135,7 +135,7 @@ def test_usage_errors_exit_1(capsys):
         assert "error" in captured.err
 
 
-@pytest.mark.parametrize("x_text", ["1e400", "-1e400", f"{10**400}/3"])
+@pytest.mark.parametrize("x_text", ["1e400", "-1e400", f"{10**400}/3", "1e-400", "-1e-400", f"3/{10**400}"])
 @pytest.mark.parametrize(
     "command", [["eval", "sec-tan"], ["convergents", "xcot"], ["study", "xcot"]]
 )
@@ -394,11 +394,12 @@ REUSE_SEQUENCE = (
 
 
 def test_reused_parser_gives_the_output_of_a_fresh_one(capsys, monkeypatch):
-    cli._parser_for.cache_clear()
+    keys, build = [], cli._parser_for
+    monkeypatch.setattr(cli, "_parser_for", lambda *key: keys.append(key) or build(*key))
+    monkeypatch.setattr(cli, "_last_parser", ({}, {}, None))
     reused = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
-    info = cli._parser_for.cache_info()
-    assert (info.misses, info.hits) == (1, len(REUSE_SEQUENCE) - 1)
-    monkeypatch.setattr(cli, "_parser_for", cli._parser_for.__wrapped__)  # a new parser per call
+    assert len(keys) == 1  # built by the first request, reused by the rest
+    monkeypatch.setattr(cli, "_build_parser", lambda: build(*keys[0]))  # a new parser per call
     fresh = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0] * 7 + [1] * 3 + [0]
@@ -412,6 +413,20 @@ def test_stream_added_after_a_request_is_accepted_until_removed(capsys, monkeypa
         assert code == 0 and out == run(capsys, "terms", "xcot", "--count", "2")[1]
     code, out, err = run(capsys, "terms", "xcot-again", "--count", "2")
     assert code == 1 and out == "" and "invalid choice: 'xcot-again'" in err
+
+
+def test_suite_level_changed_after_a_request_gets_a_new_parser(capsys, monkeypatch):
+    def max_level_help():
+        verify = cli._build_parser().commands["verify"]
+        return next(a.help for a in verify._actions if a.dest == "max_level")
+
+    assert run(capsys, "verify", "offset", "--max-level", "1")[0] == 0
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser and "offset 5," in max_level_help()
+    with monkeypatch.context() as patch:
+        patch.setitem(exact.SUITES, "offset", exact.SUITES["offset"]._replace(default_level=2))
+        assert cli._build_parser() is not parser and "offset 2," in max_level_help()
+    assert "offset 5," in max_level_help()
 
 
 def test_handler_patched_after_a_request_runs(capsys, monkeypatch):
@@ -689,7 +704,7 @@ def test_huge_decimal_exponent_is_refused_at_once(x_text):
 
 
 def test_decimal_exponent_up_to_the_bound_still_parses(capsys):
-    assert cli._fraction_arg("1e-5000") == Fraction(1, 10**5000)  # underflows to x = 0.0
+    assert cli._fraction_arg("0e-5000") == 0  # a nonzero text with exponent -5000 underflows
     assert cli._fraction_arg("0." + "0" * 4000 + "1e4300") == Fraction(10**299)
     code, out, err = run(capsys, "eval", "sec-tan", "--x=1e5000")
     assert code == 1 and "float range" in err

@@ -500,6 +500,11 @@ def paper_levels(k, x, t):
     }
 
 
+def fold_onto(steps, num, den):
+    """``exact._fold`` onto the tail num/den: the steps (0, num), (den, 0) under ``steps``."""
+    return exact._fold([*steps, exact._step(0, num), exact._step(den, 0)])
+
+
 @pytest.mark.parametrize("x, t", [(Fraction(1, 3), Fraction(7, 4)), (Fraction(-5, 2), Fraction(-3)),
                                   (Fraction(2), Fraction(11, 5))])
 def test_factor_lists_fold_to_the_paper_levels(x, t):
@@ -507,7 +512,7 @@ def test_factor_lists_fold_to_the_paper_levels(x, t):
     for k in range(4):
         for name, expected in paper_levels(k, x, t).items():
             factors = getattr(exact, name)(k, X * X if name == "_paired" else X)
-            num, den = exact._fold(factors, Poly((t,)), ONE)
+            num, den = fold_onto(factors, Poly((t,)), ONE)
             assert RatFunc(num, den)(x) == expected, (name, k)
 
 
@@ -516,7 +521,7 @@ def test_halving_sides_fold_on_ints(k):
     # halved_k(2x) == offset_k(x) is decided without a Fraction coefficient
     for side in (exact._halving_lhs, exact._offset_rhs):
         for tail in ((ONE, Poly(())), (Poly(()), ONE)):  # t = infinity, t = 0
-            for part in exact._fold(side(k, X), *tail):
+            for part in fold_onto(side(k, X), *tail):
                 assert all(type(c) is int for c in part.coeffs), (side.__name__, k)
 
 
@@ -524,8 +529,132 @@ def test_fold_takes_steps_of_any_degree():
     # cubic partial numerators: each product is sized from its step's powers
     steps = [exact._step(Poly((1, 2)), Poly((1, 0, 0, 3))), exact._step(3, Poly((0, 0, 0, -2)))]
     x, t = Fraction(2, 3), Fraction(-5, 7)
-    num, den = exact._fold(steps, Poly((t,)), ONE)
+    num, den = fold_onto(steps, Poly((t,)), ONE)
     assert RatFunc(num, den)(x) == 1 + 2 * x + (1 + 3 * x**3) / (3 - 2 * x**3 / t)
+
+
+def _list_mul_add(b, p, a, r):
+    out = [0] * max(b[-1][0] + len(p) if b else 0, a[-1][0] + len(r) if a else 0)
+    for term, poly_ in ((b, p), (a, r)):
+        for i, c in term:
+            for j, pj in enumerate(poly_, i):
+                out[j] += c * pj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def list_fold(steps, num, den):
+    """The fold on coefficient lists, one multiply-add per coefficient per step: the oracle."""
+    num, den = list(num.coeffs), list(den.coeffs)
+    for b, a in reversed(steps):
+        num, den = _list_mul_add(b, num, a, den), num
+    return Poly(num), Poly(den)
+
+
+def typed(pair):
+    return [[(type(c), c) for c in p.coeffs] for p in pair]
+
+
+def random_poly(rng, fractions, big=False):
+    def coefficient():
+        c = rng.randint(-(2**90), 2**90) if big else rng.randint(-9, 9)
+        return Fraction(c, rng.randint(2, 12)) if fractions and rng.random() < 0.3 else c
+
+    return Poly([coefficient() for _ in range(rng.randint(-1, 3) + 1)])  # degree -1: zero
+
+
+def random_steps(rng, fractions, count=None, big=False):
+    return [exact._step(random_poly(rng, fractions, big), random_poly(rng, fractions, big))
+            for _ in range(rng.randint(0, 12) if count is None else count)]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+def test_packed_fold_matches_the_list_fold(fractions, big):
+    # int, Fraction and negative coefficients, multi-monomial and zero b and a,
+    # default, random and zero tails; big coefficients take the byte-string unpack
+    rng = random.Random(f"packed:{fractions}:{big}")
+    zero = Poly(())
+    for trial in range(20 if big else 100):
+        steps = random_steps(rng, fractions, count=rng.randint(12, 20) if big else None, big=big)
+        tails = [(ONE, zero), (zero, zero), (zero, ONE),
+                 (random_poly(rng, fractions), random_poly(rng, fractions))]
+        assert typed(exact._fold(steps)) == typed(list_fold(steps, ONE, zero)), trial
+        for tail in tails:
+            assert typed(fold_onto(steps, *tail)) == typed(list_fold(steps, *tail)), (trial, tail)
+
+
+@pytest.mark.parametrize("coefficients", [
+    (0, 0, -(2**62)),  # sizes sum to M = 2^62, so w = 64: a top coefficient of -2^(w-2)
+    (0, -(2**63 - 1)),  # the largest size below 2^(w-1) at w = 64
+    (2**62 - 1, -(2**62)),  # sizes summing to 2^63 - 1
+    (1, -126),  # w = 8
+    (*[0] * 70, -(2**62)),  # 71 digits of 64 bits: the byte-string unpack
+    (*[5] * 70, -(2**62) + 350),
+], ids=["top", "top-max", "sum-max", "byte", "long-top", "long-sum"])
+def test_packed_fold_at_the_width_bound(coefficients):
+    # the step (P, 1) folds onto t = infinity to (P, 1), so the coefficients of
+    # P reach the bound that sets the width w = 8*ceil((bits(M) + 1)/8)
+    bound = sum(map(abs, coefficients))
+    w = (bound.bit_length() + 8) // 8 * 8
+    assert bound < 2 ** (w - 1) <= 2 * bound + 2
+    steps = [exact._step(Poly(coefficients), 1)]
+    assert exact._fold(steps) == list_fold(steps, ONE, Poly(())) == (Poly(coefficients), ONE)
+    deeper = steps + [exact._step(1, 1), exact._step(-1, 1)]
+    assert typed(exact._fold(deeper)) == typed(list_fold(deeper, ONE, Poly(())))
+
+
+def cross_multiplied(lhs, rhs):
+    """The tail check on Polys: each side folded onto t = infinity and t = 0, then cross-multiplied."""
+    tails = ((ONE, Poly(())), (Poly(()), ONE))
+    (a, c), (b, d), (p, r), (q, s) = (list_fold(steps, *t) for steps in (lhs, rhs) for t in tails)
+    if (c.is_zero and d.is_zero) or (r.is_zero and s.is_zero):
+        return False
+    return a * r == p * c and a * s + b * r == p * d + q * c and b * s == q * d
+
+
+def _raise_top(steps):
+    # the same steps with the highest coefficient of the outermost b raised by one
+    (b, a), *rest = steps or [([], [])]
+    b = b[:-1] + [(b[-1][0], b[-1][1] + 1)] if b else [(0, 1)]
+    return [(b, a), *rest]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_packed_tail_check_matches_poly_cross_multiplication(fractions):
+    rng = random.Random(f"agree:{fractions}")
+    verdicts = []
+    for trial in range(40 if fractions else 120):
+        lhs = random_steps(rng, fractions, big=trial % 4 == 0)
+        c = random_poly(rng, fractions)
+        for rhs in (lhs, [*exact._shift(c), *lhs, *exact._shift(-c)] if trial % 2 else lhs + exact._shift(c),
+                    _raise_top(lhs), random_steps(rng, fractions)):
+            verdict = exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
+            assert verdict == cross_multiplied(lhs, rhs), trial
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("top", [2**62, -(2**62), 2**62 - 1, 1])
+def test_packed_tail_check_reads_the_highest_coefficient(top):
+    # constant maps t -> P that differ only in the top coefficient of P
+    low = [(0, 2**62 - 1), (3, -(2**61))]
+    for lhs_top, rhs_top in ((top, top + 1), (top, top - 1), (top, -top), (top, top)):
+        lhs, rhs = [([*low, (5, lhs_top)], [])], [([*low, (5, rhs_top)], [])]
+        verdict = exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
+        assert verdict == cross_multiplied(lhs, rhs) == (lhs_top == rhs_top)
+
+
+def test_packed_tail_check_is_wide_enough_for_the_products():
+    # t -> x/(16t) and t -> (16t + x)/(16t + 1): their cross products differ by
+    # x - 256*t^2, which vanishes at t = 2^8, x = 2^24.  A width of bits(M) + 2
+    # = 8 bits, M = 49 bounding the sides' sums, would call them equal; the
+    # products need 2*bits(M) + 1.
+    lhs = [exact._step(0, 1), exact._step(0, 16), exact._step(0, X)]
+    rhs = [exact._step(X, Poly((16, -16))), exact._step(16, 1)]
+    assert not cross_multiplied(lhs, rhs)
+    assert not exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
 
 
 def test_offset_rewrite_detects_sign_flip(monkeypatch):

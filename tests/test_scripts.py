@@ -32,6 +32,8 @@ def test_study_script_runs(script, args):
         times = json.loads(proc.stdout)
         assert {
             "exact.SUITES[flatten].check(15)",
+            "convergent_exact(sec-tan, 2)",  # shallow rows: the fold's per-call overhead
+            "convergent_exact(xcot, 4)",
             "cli._parse(eval sec-tan --x 1)",  # the option table's path
             "cli._parse(eval sec-tan --x 1 --meth adaptive)",  # argparse's
         } <= set(times)
