@@ -6,8 +6,9 @@ suites, each decided rather than sampled), terms (term-stream inspection),
 study (error vs depth).  Output in text, CSV, or JSON.  The stream names
 come from ``_SPECS``; the verify suites, their order, default levels and
 checks from ``exact.SUITES``.  The argparse parser and an option table per
-subcommand are built once and reused by every later ``main`` call in the
-same process until either of those two tables changes.
+subcommand are built once per process, from the stream names and suite
+levels those two tables hold at the first request, and reused by every
+later ``main`` call.
 
 A request that names a subcommand first is parsed by that subcommand's
 option table in one pass (``_parse``): exact ``--opt value`` and
@@ -40,6 +41,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from gettext import gettext as _
 from math import factorial
 from typing import NamedTuple
@@ -66,7 +68,6 @@ DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
-_last_parser = ({}, {}, None)  # copies of the _SPECS and exact.SUITES it was built for, and it
 # No finite nonzero float needs a larger decimal exponent: int() caps the
 # mantissa at 4300 digits, so beyond this the text over- or underflows, and
 # Fraction would first build 10**exponent.
@@ -190,7 +191,7 @@ def _cmd_eval(args) -> int:
     x = float(args.x)
     cot = args.function == "cot"
     if cot and abs(x) < POLE_THRESHOLD:
-        raise DivisionNearZero(f"cot(x) is xcot(x)/x and needs x != 0; got x = {args.x}")
+        raise DivisionNearZero(f"cot(x) is xcot(x)/x and needs |x| >= {POLE_THRESHOLD!r}; got x = {x!r}")
     report = _evaluate(_SPECS["xcot" if cot else args.function](), x, args)
     record = {
         "function": args.function,
@@ -279,16 +280,11 @@ def _add_x_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> _Parser:
-    """The parser for the current stream names and suite levels, rebuilt only when either table changes."""
-    global _last_parser
-    if _last_parser[:2] != (_SPECS, exact.SUITES):
-        levels = tuple((name, suite.default_level) for name, suite in exact.SUITES.items())
-        _last_parser = dict(_SPECS), dict(exact.SUITES), _parser_for(tuple(_SPECS), levels)
-    return _last_parser[2]
-
-
-def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -> _Parser:
+    """The parser for the stream names of ``_SPECS`` and the suites of ``exact.SUITES``, built once."""
+    streams = tuple(_SPECS)
+    levels = {name: suite.default_level for name, suite in exact.SUITES.items()}
     parser = _Parser(
         prog="cfrac",
         description=(
@@ -340,8 +336,8 @@ def _parser_for(streams: tuple[str, ...], levels: tuple[tuple[str, int], ...]) -
     _add_format_flag(p)
 
     p = sub.add_parser("verify", help="run the exact identity-verification suites")
-    p.add_argument("suite", choices=[*dict(levels), "all"])
-    defaults = ", ".join(f"{name} {level}" for name, level in levels)
+    p.add_argument("suite", choices=[*levels, "all"])
+    defaults = ", ".join(f"{name} {level}" for name, level in levels.items())
     p.add_argument(
         "--max-level",
         dest="max_level",
@@ -386,16 +382,13 @@ class _OptionTable(NamedTuple):
     actions: tuple[argparse.Action, ...]
 
     @classmethod
-    def of(cls, parser: argparse.ArgumentParser) -> _OptionTable | None:
-        """The table of ``parser``, or None if a positional takes other than one value."""
+    def of(cls, parser: argparse.ArgumentParser) -> _OptionTable:
+        """The table of ``parser``, whose positionals each take one value."""
         actions = parser._actions
         single = [a for a in actions if type(a) is argparse._StoreAction and a.nargs is None]
-        positionals = tuple(a for a in actions if not a.option_strings)
-        if not set(positionals) <= set(single):
-            return None
         return cls(
             {option: action for action in single for option in action.option_strings},
-            positionals,
+            tuple(a for a in actions if not a.option_strings),
             tuple(a for a in actions if a.dest is not argparse.SUPPRESS),
         )
 
@@ -404,12 +397,11 @@ class _OptionTable(NamedTuple):
 
         Takes exact ``--opt value`` and ``--opt=value`` options and the
         positionals in order, runs each value through its action's type
-        and choices, and fills the defaults of unseen actions, a string
-        default through its type.  Anything else (help, an abbreviation,
-        ``--``, a separate value starting with ``-``, an extra or missing
-        positional, a missing required option, a type or choices failure,
-        which is also how an empty value fails here) gives None, so
-        argparse prints the help or the error.
+        and choices, and fills the defaults of unseen actions.  Anything
+        else (help, an abbreviation, ``--``, a separate value starting with
+        ``-``, an extra or missing positional, a missing required option, a
+        type or choices failure, which is also how an empty value fails
+        here) gives None, so argparse prints the help or the error.
         """
         seen = {}
         positionals = iter(self.positionals)
@@ -438,8 +430,6 @@ class _OptionTable(NamedTuple):
                     return None
                 elif action.default is argparse.SUPPRESS:
                     continue
-                elif isinstance(action.default, str) and action.type is not None:
-                    values[action.dest] = action.type(action.default)
                 else:
                     values[action.dest] = action.default
         except (KeyError, StopIteration, argparse.ArgumentTypeError, TypeError, ValueError):
@@ -461,7 +451,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.table and command.table.parse(argv[1:])
+    args = command.table.parse(argv[1:])
     if args is None:
         args, extras = command.parse_known_args(argv[1:])
         if extras:

