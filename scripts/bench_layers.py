@@ -17,11 +17,20 @@ also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
 ``cli.main(eval ...)`` row, so the two split a request into parse and
 handler, and one with an abbreviated option, which the option table
 leaves to argparse, so both parse paths are timed.  The CLI
-requests print into a discarded buffer.  Prints one JSON object mapping
-each layer to its time.
+requests print into a discarded buffer.
+
+The ``one-shot`` rows (``ONE_SHOT``) start a new interpreter per sample,
+which times itself from before it puts SRC on ``sys.path`` to after
+``import cfrac``, or after ``import cfrac.cli`` and a first ``eval sec-tan
+--x 1`` (what the benchmark's cli ``setup_s`` times) or ``verify all``; the
+median of ``--repeat`` interpreters is reported.  With ``--baseline
+OTHER_SRC`` the interpreters alternate between the two checkouts, each
+going first in every other round, and the baseline's medians are reported
+too, as ``<row> [baseline]``.  Prints one JSON object mapping each layer to
+its time.
 
 Usage:
-    python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000]
+    python scripts/bench_layers.py [SRC] [--repeat 5] [--number 2000] [--baseline OTHER_SRC]
 """
 
 import argparse
@@ -29,13 +38,22 @@ import contextlib
 import dataclasses
 import io
 import json
+import statistics
+import subprocess
 import sys
 import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 0.2  # caps one run of a slow layer, such as `cfrac verify all`
-CAPS = {"pairing": 31, "flatten": 15, "series": 30}  # deepest level at MAX_EXACT_DEPTH 64
+CAPS = {"pairing": 31, "offset": 31, "halving": 15, "flatten": 15, "series": 30}  # at MAX_EXACT_DEPTH 64
+_QUIET_MAIN = ("import contextlib, io, cfrac.cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n    cfrac.cli.main({})")
+ONE_SHOT = {  # row -> what a new interpreter runs and times
+    "one-shot import cfrac": "import cfrac",
+    "one-shot cli.main(eval sec-tan --x 1)": _QUIET_MAIN.format(["eval", "sec-tan", "--x", "1"]),
+    "one-shot cli.main(verify all)": _QUIET_MAIN.format(["verify", "all"]),
+}
 
 
 def layers(cfrac) -> dict:
@@ -81,6 +99,27 @@ def layers(cfrac) -> dict:
     return calls
 
 
+def one_shot_seconds(src: Path, code: str) -> float:
+    """Seconds a new interpreter takes to put ``src`` on ``sys.path`` and run ``code``."""
+    script = f"import sys, time\nt0 = time.perf_counter()\nsys.path.insert(0, {str(src)!r})\n{code}\n"
+    script += "print(time.perf_counter() - t0)\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
+    return float(done.stdout.split()[-1])
+
+
+def one_shot_rows(srcs: dict[str, Path], repeat: int) -> dict:
+    """Row -> median microseconds of ``repeat`` new interpreters per checkout, taking turns."""
+    times = {}
+    for row, code in ONE_SHOT.items():
+        samples = {label: [] for label in srcs}
+        for i in range(repeat):
+            for label in list(srcs)[:: 1 if i % 2 == 0 else -1]:
+                samples[label].append(one_shot_seconds(srcs[label], code))
+        for label, seconds in samples.items():
+            times[f"{row}{label}"] = round(statistics.median(seconds) * 1e6, 1)
+    return times
+
+
 def _quiet(main, argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
@@ -91,13 +130,18 @@ def main() -> None:
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding cfrac/")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--number", type=int, default=2000)
+    parser.add_argument("--baseline", help="a second checkout's src directory, for the one-shot rows")
     args = parser.parse_args()
 
-    src = Path(args.src).resolve()
-    if not (src / "cfrac" / "__init__.py").is_file():
-        parser.error(f"no cfrac package under {src}")
-    sys.path.insert(0, str(src))
+    srcs = {"": Path(args.src).resolve()}
+    if args.baseline:
+        srcs[" [baseline]"] = Path(args.baseline).resolve()
+    for src in srcs.values():
+        if not (src / "cfrac" / "__init__.py").is_file():
+            parser.error(f"no cfrac package under {src}")
+    sys.path.insert(0, str(srcs[""]))
     import cfrac.cli
+    import cfrac.exact  # noqa: F401  (import cfrac need not load it)
 
     times = {}
     for name, call in layers(cfrac).items():
@@ -105,6 +149,7 @@ def main() -> None:
         number = max(1, min(args.number, int(RUN_SECONDS / timeit.timeit(call, number=1))))
         best = min(timeit.repeat(call, repeat=args.repeat, number=number))
         times[name] = round(best / number * 1e6, 3)
+    times.update(one_shot_rows(srcs, args.repeat))
     print(json.dumps(times, indent=2))
 
 

@@ -3,12 +3,14 @@
 Subcommands: eval (single value), convergents (table of successive
 convergents), series (exact Taylor coefficients), verify (exact identity
 suites, each decided rather than sampled), terms (term-stream inspection),
-study (error vs depth).  Output in text, CSV, or JSON.  The stream names
-come from ``_SPECS``; the verify suites, their order, default levels and
-checks from ``exact.SUITES``.  The argparse parser and an option table per
-subcommand are built once per process, from the stream names and suite
-levels those two tables hold at the first request, and reused by every
-later ``main`` call.
+study (error vs depth).  Output in text, CSV, or JSON.  Each subcommand's
+options are written once, in its function of ``_COMMANDS``.  A request
+builds the argparse parser and option table of the subcommand it names
+alone, at that subcommand's first request, from the stream names of
+``_SPECS`` and the suites of ``exact.SUITES`` (order, default levels,
+checks) as they are then; later ``main`` calls reuse them (``_command``).
+The exact layer, ``json`` and ``csv`` are imported by the requests that use
+them, so a one-shot ``cfrac eval`` in text loads none of them.
 
 A request that names a subcommand first is parsed by that subcommand's
 option table in one pass (``_parse``): exact ``--opt value`` and
@@ -20,9 +22,10 @@ help, an abbreviated option, ``--``, a separate value starting with
 missing positional or required option, and any invalid value, the empty
 one included.  A declined request is parsed by the subcommand's parser
 alone, so help and every error message are argparse's.  The top-level
-parser only handles an empty argv, ``-h``, an unknown command, or an
-option before the command.  Handlers are looked up by name on every call,
-so a patched ``_cmd_*`` function runs.
+parser, which holds the same subcommand parsers, is built only to handle
+an empty argv, ``-h``, an unknown command, an option before the command,
+and to word the "unrecognized arguments" error.  Handlers are looked up by name on every
+call, so a patched ``_cmd_*`` function runs.
 
 Depth flags (``eval --depth``, ``convergents --depth``, ``study
 --max-depth``) stop at ``DEFAULT_MAX_DEPTH``, and a decimal ``--x`` with an
@@ -36,8 +39,6 @@ a denominator underflow), 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
 from fractions import Fraction
@@ -46,7 +47,6 @@ from gettext import gettext as _
 from math import factorial
 from typing import NamedTuple
 
-from . import exact
 from .core import (
     DEFAULT_MAX_DEPTH,
     POLE_THRESHOLD,
@@ -68,6 +68,7 @@ DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
+_PACKAGE = sys.modules[__package__]  # its exact attribute imports cfrac.exact at first use
 # No finite nonzero float needs a larger decimal exponent: int() caps the
 # mantissa at 4300 digits, so beyond this the text over- or underflows, and
 # Fraction would first build 10**exponent.
@@ -136,11 +137,10 @@ def _render_cell(value) -> str:
 
 def _emit_record(record: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps(record))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(list(record))
-        writer.writerow([_render_cell(v) for v in record.values()])
+        _emit_table([record], list(record), fmt)
     else:
         width = max(len(key) for key in record)
         for key, value in record.items():
@@ -149,8 +149,10 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps(rows, indent=2))
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
@@ -220,13 +222,14 @@ def _cmd_convergents(args) -> int:
 def _cmd_series(args) -> int:
     rows = [
         {"n": n, "zigzag": z, "coefficient": str(Fraction(z, factorial(n)))}
-        for n, z in enumerate(exact._zigzags(args.order))  # one triangle for every row
+        for n, z in enumerate(_PACKAGE.exact._zigzags(args.order))  # one triangle for every row
     ]
     _emit_table(rows, ["n", "zigzag", "coefficient"], args.format)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    exact = _PACKAGE.exact
     suites = exact.SUITES
     names = list(suites) if args.suite == "all" else [args.suite]
     top = args.max_level
@@ -263,41 +266,17 @@ def _cmd_study(args) -> int:
 
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=["text", "csv", "json"],
-        default="text",
-        help="output format (default: text)",
-    )
+    p.add_argument("--format", choices=["text", "csv", "json"], default="text",
+                   help="output format (default: text)")
 
 
 def _add_x_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--x",
-        type=_fraction_arg,
-        required=True,
-        help="evaluation point, decimal or rational p/q",
-    )
+    p.add_argument("--x", type=_fraction_arg, required=True,
+                   help="evaluation point, decimal or rational p/q")
 
 
-@cache
-def _build_parser() -> _Parser:
-    """The parser for the stream names of ``_SPECS`` and the suites of ``exact.SUITES``, built once."""
-    streams = tuple(_SPECS)
-    levels = {name: suite.default_level for name, suite in exact.SUITES.items()}
-    parser = _Parser(
-        prog="cfrac",
-        description=(
-            "Continued-fraction evaluation of sec(x)+tan(x) and x*cot(x), "
-            "with an exact rational layer that verifies the identities "
-            "behind the expansions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # name -> subparser, filled in below
-
-    p = sub.add_parser("eval", help="evaluate a function at a point")
-    p.add_argument("function", choices=[*streams, "cot"])
+def _eval_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("function", choices=[*_SPECS, "cot"])
     _add_x_flag(p)
     p.add_argument(
         "--method",
@@ -320,8 +299,9 @@ def _build_parser() -> _Parser:
     )
     _add_format_flag(p)
 
-    p = sub.add_parser("convergents", help="table of successive convergents")
-    p.add_argument("function", choices=streams)
+
+def _convergents_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("function", choices=tuple(_SPECS))
     _add_x_flag(p)
     p.add_argument(
         "--depth",
@@ -331,13 +311,16 @@ def _build_parser() -> _Parser:
     )
     _add_format_flag(p)
 
-    p = sub.add_parser("series", help="exact Taylor coefficients of sec(x)+tan(x)")
+
+def _series_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=_nonneg_int, default=12, help="highest order to print (default 12)")
     _add_format_flag(p)
 
-    p = sub.add_parser("verify", help="run the exact identity-verification suites")
-    p.add_argument("suite", choices=[*levels, "all"])
-    defaults = ", ".join(f"{name} {level}" for name, level in levels.items())
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    suites = _PACKAGE.exact.SUITES
+    p.add_argument("suite", choices=[*suites, "all"])
+    defaults = ", ".join(f"{name} {suite.default_level}" for name, suite in suites.items())
     p.add_argument(
         "--max-level",
         dest="max_level",
@@ -346,13 +329,15 @@ def _build_parser() -> _Parser:
     )
     _add_format_flag(p)
 
-    p = sub.add_parser("terms", help="inspect a term stream")
-    p.add_argument("function", choices=streams)
+
+def _terms_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("function", choices=tuple(_SPECS))
     p.add_argument("--count", type=_nonneg_int, default=8, help="how many terms (default 8)")
     _add_format_flag(p)
 
-    p = sub.add_parser("study", help="error vs depth at doubling depths")
-    p.add_argument("function", choices=streams)
+
+def _study_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("function", choices=tuple(_SPECS))
     _add_x_flag(p)
     p.add_argument(
         "--max-depth",
@@ -363,8 +348,43 @@ def _build_parser() -> _Parser:
     )
     _add_format_flag(p)
 
-    for command in parser.commands.values():
-        command.table = _OptionTable.of(command)
+
+# subcommand -> (its line in the top-level help, the function adding its options)
+_COMMANDS = {
+    "eval": ("evaluate a function at a point", _eval_options),
+    "convergents": ("table of successive convergents", _convergents_options),
+    "series": ("exact Taylor coefficients of sec(x)+tan(x)", _series_options),
+    "verify": ("run the exact identity-verification suites", _verify_options),
+    "terms": ("inspect a term stream", _terms_options),
+    "study": ("error vs depth at doubling depths", _study_options),
+}
+
+
+@cache
+def _command(name: str) -> _Parser:
+    """The parser of subcommand ``name``, with its option table, built at its first request."""
+    _, options = _COMMANDS[name]
+    parser = _Parser(prog=f"cfrac {name}")  # the prog argparse gives the top-level parser's one
+    options(parser)
+    parser.table = _OptionTable.of(parser)
+    return parser
+
+
+@cache
+def _build_parser() -> _Parser:
+    """The top-level parser, over the subcommands' own parsers, built only for help and errors."""
+    parser = _Parser(
+        prog="cfrac",
+        description=(
+            "Continued-fraction evaluation of sec(x)+tan(x) and x*cot(x), "
+            "with an exact rational layer that verifies the identities "
+            "behind the expansions."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary)  # lists the subcommand in the help
+        sub.choices[name] = _command(name)  # and parses with the parser a request would use
     return parser
 
 
@@ -447,15 +467,14 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     help or fail, goes to the top level.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    command = _command(argv[0])
     args = command.table.parse(argv[1:])
     if args is None:
         args, extras = command.parse_known_args(argv[1:])
         if extras:
-            parser.error(_("unrecognized arguments: %s") % " ".join(extras))
+            _build_parser().error(_("unrecognized arguments: %s") % " ".join(extras))
     args.command = argv[0]
     return args
 

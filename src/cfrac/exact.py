@@ -24,7 +24,7 @@ are step lists: a level or a slice of a stream's step table, generated
 once per ``CfSpec`` (``_steps``).  By associativity, a stream that agrees
 with the levels 0..m for every tail has, at t = infinity, their
 convergents.  ``SUITES`` lists the suites in derivation order with the
-deepest stream row each reads and their default levels.
+deepest stream row each reads or rewrites and their default levels.
 
 The layer has one exact fold of steps (``_cleared``, ``_packed``), shared
 by ``convergent_exact`` and every suite.  It holds a polynomial p as the
@@ -509,16 +509,18 @@ def verify_series(order: int) -> bool:
 
 class Suite(NamedTuple):
     check: Callable[[int], bool]  # decides levels 0..m (the series: order m)
-    depth: Callable[[int], int]  # deepest row (b_k, a_(k+1)) of a stream's steps read at level m
+    depth: Callable[[int], int]  # deepest stream row (b_k, a_(k+1)) that level m reads or rewrites
     default_level: int
 
 
 # The suites in derivation order.  Each check calls its verify_* function
-# through the module-global name, so a replaced one takes effect.
+# through the module-global name, so a replaced one takes effect.  Offset
+# level m rewrites paired level m (x*cot(x) rows 2m, 2m+1), and halving level
+# m gives halved level m (sec-tan rows 4m+1..4m+4), so each takes that depth.
 SUITES = {
     "pairing": Suite(lambda m: all(verify_pairing(j) for j in range(m + 1)), lambda m: 2 * m + 1, 8),
-    "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
-    "halving": Suite(lambda m: all(verify_halving_rewrite(k) for k in range(m + 1)), lambda m: 0, 5),
+    "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 2 * m + 1, 5),
+    "halving": Suite(lambda m: all(verify_halving_rewrite(k) for k in range(m + 1)), lambda m: 4 * m + 4, 5),
     "flatten": Suite(lambda m: all(verify_flattening(j) for j in range(m + 1)), lambda m: 4 * m + 4, 3),
     "series": Suite(lambda order: verify_series(order), lambda order: 2 * order + 3, 12),
 }
@@ -526,7 +528,7 @@ SUITES = {
 
 def check_level(suite: str, level: int) -> None:
     """Raise ValueError, folding nothing, if checking ``suite`` at ``level``
-    reads a stream row deeper than MAX_EXACT_DEPTH."""
+    reads or rewrites a stream row deeper than MAX_EXACT_DEPTH."""
     depth = SUITES[suite].depth(level)
     if depth > MAX_EXACT_DEPTH:
         raise ValueError(f"{suite} level {level} needs exact depth {depth}, past {MAX_EXACT_DEPTH}")

@@ -282,7 +282,7 @@ def test_verify_all_runs_each_suite_of_the_table(capsys, monkeypatch):
 
 def test_stream_choices_come_from_the_spec_table(capsys, monkeypatch):
     monkeypatch.setitem(cli._SPECS, "xcot-again", xcot_spec)
-    cli._build_parser.cache_clear()  # the parser is built once per process, so build it again
+    _clear_parsers()  # each parser is built once per process, so build them again
     try:
         for argv in (
             ["eval", "xcot-again", "--x", "1"],
@@ -292,7 +292,12 @@ def test_stream_choices_come_from_the_spec_table(capsys, monkeypatch):
         ):
             assert run(capsys, *argv)[0] == 0, argv
     finally:
-        cli._build_parser.cache_clear()
+        _clear_parsers()
+
+
+def _clear_parsers():
+    cli._command.cache_clear()
+    cli._build_parser.cache_clear()
 
 
 def test_verify_single_suite_json(capsys):
@@ -321,20 +326,23 @@ def test_verify_level_beyond_exact_cap_is_usage_error(capsys, monkeypatch):
     def must_not_run(m):
         raise AssertionError("a suite ran before the level was checked")
 
-    monkeypatch.setattr(exact, "verify_pairing", must_not_run)
-    for suite in ("flatten", "all"):
+    for check in ("verify_pairing", "verify_offset_rewrite", "verify_halving_rewrite"):
+        monkeypatch.setattr(exact, check, must_not_run)
+    # all: halving is the first suite of the table past its cap at level 16
+    for suite, refused in (("flatten", "flatten"), ("all", "halving")):
         code, out, err = run(capsys, "verify", suite, "--max-level", "16")
         assert code == 1, suite
         assert out == ""
-        assert "error" in err and "flatten level 16" in err
-    code, out, err = run(capsys, "verify", "series", "--max-level", "31")
-    assert code == 1
-    assert "series level 31" in err
+        assert "error" in err and f"{refused} level 16" in err
+    for suite, level in (("series", 31), ("offset", 32), ("offset", 10**8), ("halving", 10**8)):
+        code, out, err = run(capsys, "verify", suite, "--max-level", str(level))
+        assert (code, out) == (1, "")
+        assert f"{suite} level {level} needs exact depth" in err
 
 
 def test_verify_passes_at_each_suite_cap(capsys):
     # the deepest level check_level accepts for each capped suite
-    for suite, cap in (("pairing", 31), ("flatten", 15), ("series", 30)):
+    for suite, cap in (("pairing", 31), ("offset", 31), ("halving", 15), ("flatten", 15), ("series", 30)):
         code, out, err = run(capsys, "verify", suite, "--max-level", str(cap), "--format", "csv")
         assert (code, err) == (0, ""), suite
         assert out.splitlines() == ["suite,passed", f"{suite},pass"]
@@ -405,14 +413,22 @@ REUSE_SEQUENCE = (
 )
 
 
-def test_reused_parser_gives_the_output_of_a_fresh_one(capsys):
-    cli._build_parser.cache_clear()
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys, monkeypatch):
+    _clear_parsers()
+    built = []
+    for name, (summary, options) in list(cli._COMMANDS.items()):
+        def recording(parser, options=options):
+            built.append(parser.prog)
+            options(parser)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (summary, recording))
     reused = [run(capsys, *argv) for argv in REUSE_SEQUENCE]
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(REUSE_SEQUENCE) - 1)  # built once, then reused
+    # each subcommand's parser is built at its first request, then reused
+    assert sorted(built) == sorted(f"cfrac {name}" for name in cli._COMMANDS)
+    assert cli._build_parser.cache_info().currsize == 0  # no request here needs the top level
     fresh = []
     for argv in REUSE_SEQUENCE:
-        cli._build_parser.cache_clear()  # a new parser per call
+        _clear_parsers()  # a new parser per call
         fresh.append(run(capsys, *argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0] * 7 + [1] * 3 + [0]
@@ -532,7 +548,7 @@ def _samples(action):
 
 def _corpus(name):
     """argv built from the subcommand's own option strings, with valid and invalid values."""
-    command = cli._build_parser().commands[name]
+    command = cli._command(name)
     actions = [a for a in command._actions if a.dest != "help"]
     positionals = [a for a in actions if not a.option_strings]
     options = [a for a in actions if a.option_strings]
@@ -582,8 +598,8 @@ def _outcome(parse, argv, capsys):
 
 @pytest.mark.parametrize("name", ["eval", "convergents", "series", "verify", "terms", "study"])
 def test_option_table_parses_as_argparse_does(capsys, monkeypatch, name):
-    parser = cli._build_parser()
-    assert set(parser.commands) == {"eval", "convergents", "series", "verify", "terms", "study"}
+    parser = cli._build_parser()  # the full top-level parser: the reference
+    assert set(cli._COMMANDS) == {"eval", "convergents", "series", "verify", "terms", "study"}
     declined = []
     table_parse = cli._OptionTable.parse
 
@@ -612,7 +628,6 @@ def test_option_table_fills_defaults_as_argparse_does():
 
 
 def test_option_table_parses_the_plain_requests_of_the_benchmark():
-    parser = cli._build_parser()
     for argv in (
         ["eval", "cot", "--x=-1.4551915228366852e-11", "--method", "lentz", "--format", "json"],
         ["eval", "xcot", "--x=7/8", "--method", "backward", "--format", "csv"],
@@ -622,8 +637,8 @@ def test_option_table_parses_the_plain_requests_of_the_benchmark():
         ["verify", "series", "--max-level", "31"],  # parses; check_level refuses it later
         ["verify", "all"],
     ):
-        args = parser.commands[argv[0]].table.parse(argv[1:])
-        assert args == parser.commands[argv[0]].parse_args(argv[1:]), argv
+        command = cli._command(argv[0])
+        assert command.table.parse(argv[1:]) == command.parse_args(argv[1:]), argv
 
 
 def _counting_specs(monkeypatch):

@@ -810,8 +810,10 @@ def test_check_level_applies_each_suite_depth_rule():
     exact.check_level("flatten", 15)  # depth 64
     exact.check_level("series", 30)  # depth 63
     exact.check_level("pairing", 31)  # depth 63
-    exact.check_level("offset", 10**6)  # the tail rewrites fold no convergent
-    for suite, level in (("flatten", 16), ("series", 31), ("pairing", 32)):
+    exact.check_level("offset", 31)  # rewrites paired level 31, x*cot(x) rows 62 and 63
+    exact.check_level("halving", 15)  # gives halved level 15, sec-tan rows 61..64
+    for suite, level in (("flatten", 16), ("series", 31), ("pairing", 32), ("offset", 32), ("halving", 16),
+                         ("offset", 10**8), ("halving", 10**8)):
         with pytest.raises(ValueError):
             exact.check_level(suite, level)
 

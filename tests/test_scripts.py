@@ -36,6 +36,8 @@ def test_study_script_runs(script, args):
             "convergent_exact(xcot, 4)",
             "cli._parse(eval sec-tan --x 1)",  # the option table's path
             "cli._parse(eval sec-tan --x 1 --meth adaptive)",  # argparse's
+            "one-shot import cfrac",  # new interpreters
+            "one-shot cli.main(eval sec-tan --x 1)",
         } <= set(times)
         assert all(t > 0 for t in times.values())
 
