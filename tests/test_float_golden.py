@@ -6,7 +6,9 @@ estimate for an ``EvalReport``) or ``!`` plus the name of the exception the
 call raised.  The table was written by the nested evaluators that
 ``sec_tan``, ``paired_value``, ``offset_value`` and ``halved_value`` used
 before they became folds over one term stream, so this test is what holds
-the folds to the same bits.
+the folds to the same bits.  The ``EXTREME`` rows, where x*x or a term
+overflows or underflows, were written by the kernels as they were before
+their per-step guards became comparisons on locals.
 
 Regenerate the table only for a deliberate change of values:
 
@@ -15,9 +17,12 @@ Regenerate the table only for a deliberate change of values:
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 from cfrac import (
+    CfSpec,
+    TermPair,
     eval_adaptive,
     eval_backward,
     eval_forward,
@@ -25,6 +30,7 @@ from cfrac import (
     halved_value,
     offset_value,
     paired_value,
+    poly,
     sec_tan,
     sec_tan_spec,
     term_at,
@@ -37,6 +43,10 @@ SMOOTH = [-1.4, -1.0, -0.5, -0.1, 0.0, 0.3, 0.7, 1.0, 1.3, 1.5]
 LARGE = [-30.0, -4 * math.pi, -2 * math.pi, -5.0, 2.5, 3.0, 7.7, 12.0, 30.0]
 NEAR_POLE = [math.pi / 2] + [math.pi / 2 + s * 2.0**-k for k in (10, 26, 40, 52) for s in (-1, 1)]
 GRID = SMOOTH + LARGE + NEAR_POLE
+# where x*x or a term overflows or underflows: NaN and inf intermediates, Lentz
+# guard hits and rescales on inf (+0.0 is in SMOOTH)
+EXTREME = [-0.0, 5e-324, -5e-324, 1e-300, 1e-160] + [
+    s * m for m in (1e20, 1e150, 1e200, 1e300, 1.7976931348623157e308) for s in (1, -1)]
 
 
 def _encode(result):
@@ -52,7 +62,7 @@ def _encode(result):
 def _calls():
     """(key, thunk) for every pinned call."""
     specs = {"sec-tan": sec_tan_spec(), "xcot": xcot_spec()}
-    for x in GRID:
+    for x in GRID + EXTREME:
         h = x.hex()
         yield f"sec_tan({h})", lambda x=x: sec_tan(x)
         yield f"sec_tan({h}, 1e-6)", lambda x=x: sec_tan(x, 1e-6)
@@ -82,8 +92,9 @@ def _calls():
                     yield f"{fn.__name__}({k}, {h}, {levels}, 9.5)", (
                         lambda f=fn, k=k, x=x, n=levels: f(k, x, n, tail=9.5))
     for name, spec in specs.items():
-        yield f"eval_backward({name}, 1.0, 8, 0.0)", (
-            lambda s=spec: eval_backward(s, 1.0, 8, tail=0.0))
+        for tail in (0.0, 1e-299):  # below and just above POLE_THRESHOLD
+            yield f"eval_backward({name}, 1.0, 8, {tail!r})", (
+                lambda s=spec, t=tail: eval_backward(s, 1.0, 8, tail=t))
 
 
 def _run(thunk):
@@ -106,6 +117,18 @@ def test_golden_table_covers_every_outcome():
     outcomes = {v for v in values if isinstance(v, str) and v.startswith("!")}
     assert {"!DivisionNearZero", "!NoConvergence"} <= outcomes
     assert sum(not isinstance(v, str) or not v.startswith("!") for v in values) > 1000
+
+
+def test_forward_rescale_ignores_a_nan_numerator():
+    """No rescale at a NaN P_n, however large Q_n is, as with max(|P_n|, |Q_n|) > 1e150.
+
+    P_2 overflows to inf, so P_3 = 0*inf + a_3*P_1 is NaN while Q_3 = a_3*Q_1 is
+    about 3e151.  Rescaling there as well would take Q_4 below POLE_THRESHOLD.
+    """
+    terms = {1: (10**149, 1), 2: (1, 10**300), 3: (10**302, 0), 4: (Fraction(1, 10**310),) * 2}
+    spec = CfSpec(name="nan-numerator", leading=poly(1),
+                  termgen=lambda k: TermPair(a=poly(terms[k][0]), b=poly(terms[k][1])))
+    assert _encode(eval_forward(spec, 1.0, 4)) == ["0x1.f485516e7577fp+494", "inf", "nan", "nan"]
 
 
 if __name__ == "__main__":
