@@ -19,11 +19,13 @@ relative-error estimate.
 Every float evaluator reads the terms from one table per ``CfSpec``: six
 columns a0, a1, a2, b0, b1, b2 of binary64 coefficients indexed by k,
 filled from ``termgen`` up to the deepest index used so far.  An evaluator
-unpacks the columns once per call and evaluates each polynomial inline by
-float Horner, as ``PolyTerm.__call__`` does for a float x.  That shared
-state is safe under concurrent callers because it is never changed in
-place: a longer table is built from fresh lists and replaces it in one
-assignment, and a published column is never appended to.
+unpacks the columns once per call, evaluates each polynomial inline by
+float Horner, as ``PolyTerm.__call__`` does for a float x, and tests its
+per-step guards by comparisons with locals: ``-c < v < c`` for ``abs(v) < c``,
+false for a nan v as that is.  The shared state is safe under concurrent
+callers because it is never changed in place: a longer table is built from
+fresh lists and replaces it in one assignment, and a published column is
+never appended to.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = Non
     r = (b2[end] * x + b1[end]) * x + b0[end]
     if tail is not None:
         r += ((a2[end + 1] * x + a1[end + 1]) * x + a0[end + 1]) / tail
+    pole, neg_pole = POLE_THRESHOLD, -POLE_THRESHOLD
     for k in range(end, start, -1):
-        if abs(r) < POLE_THRESHOLD:
+        if neg_pole < r < pole:
             raise DivisionNearZero(f"denominator underflow at index {k} (x={x!r})")
         j = k - 1  # b_j + a_k / r
         r = ((b2[j] * x + b1[j]) * x + b0[j]) + ((a2[k] * x + a1[k]) * x + a0[k]) / r
@@ -234,8 +237,8 @@ def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -
 
 
 # Joint rescale of the forward recurrence: once max(|P_n|, |Q_n|) passes
-# _RESCALE_AT, both are scaled by _RESCALE, an exact power of two, so
-# P_n/Q_n is bit-for-bit unchanged by rescaling.
+# _RESCALE_AT (as max() orders nan: never at a nan P_n), both are scaled by
+# _RESCALE, an exact power of two, so P_n/Q_n is bit-for-bit unchanged.
 _RESCALE_AT = 1e150
 _RESCALE = 2.0**-500
 
@@ -257,18 +260,19 @@ def eval_forward(cf: CfSpec, x: float, depth: int) -> list[float]:
     a0, a1, a2, b0, b1, b2 = _rows(cf, depth)
     p_prev, p_cur = 1.0, (b2[0] * x + b1[0]) * x + b0[0]
     q_prev, q_cur = 0.0, 1.0
+    big, neg_big, pole, neg_pole = _RESCALE_AT, -_RESCALE_AT, POLE_THRESHOLD, -POLE_THRESHOLD
     convergents = []
     for n in range(1, depth + 1):
         a_n = (a2[n] * x + a1[n]) * x + a0[n]
         b_n = (b2[n] * x + b1[n]) * x + b0[n]
         p_next = b_n * p_cur + a_n * p_prev
         q_next = b_n * q_cur + a_n * q_prev
-        if max(abs(p_next), abs(q_next)) > _RESCALE_AT:
+        if (p_next > big or p_next < neg_big or q_next > big or q_next < neg_big) and p_next == p_next:
             p_next *= _RESCALE
             q_next *= _RESCALE
             p_cur *= _RESCALE
             q_cur *= _RESCALE
-        if abs(q_next) < POLE_THRESHOLD:
+        if neg_pole < q_next < pole:
             raise DivisionNearZero(f"Q_{n} underflow (x={x!r})")
         convergents.append(p_next / q_next)
         p_prev, p_cur = p_cur, p_next
@@ -307,22 +311,24 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
         f = TINY_GUARD
     c_prev = f
     d_prev = 0.0
+    tiny, neg_tiny, neg_eps, rows = TINY_GUARD, -TINY_GUARD, -eps, len(a0)
     for j in range(1, max_terms + 1):
-        if j == len(a0):  # read the columns again, at least twice as long
+        if j == rows:  # read the columns again, at least twice as long
             a0, a1, a2, b0, b1, b2 = _rows(cf, j)
+            rows = len(a0)
         a_j = (a2[j] * x + a1[j]) * x + a0[j]
         b_j = (b2[j] * x + b1[j]) * x + b0[j]
         d_cur = b_j + a_j * d_prev
-        if abs(d_cur) < TINY_GUARD:
-            d_cur = TINY_GUARD
+        if neg_tiny < d_cur < tiny:
+            d_cur = tiny
         c_cur = b_j + a_j / c_prev
-        if abs(c_cur) < TINY_GUARD:
-            c_cur = TINY_GUARD
+        if neg_tiny < c_cur < tiny:
+            c_cur = tiny
         d_cur = 1.0 / d_cur
         delta = c_cur * d_cur
         f *= delta
         c_prev, d_prev = c_cur, d_cur
-        if abs(delta - 1.0) < eps:
+        if neg_eps < delta - 1.0 < eps:
             return EvalReport(value=f, depth=j, est_rel_err=abs(delta - 1.0), method="lentz")
     raise NoConvergence(f"Lentz did not converge within {max_terms} terms (x={x!r}, eps={eps})")
 
