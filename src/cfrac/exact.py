@@ -381,6 +381,10 @@ def _unpack(v: int, w: int, scale: int) -> Poly:
         while v:
             cs.append((v + half & mask) - half)
             v = v - cs[-1] >> w
+        if scale == 1:  # ints whose last is nonzero: nothing for Poly() to normalise or trim
+            p = object.__new__(Poly)
+            object.__setattr__(p, "coeffs", tuple(cs))
+            return p
     else:
         size, count = w // 8, abs(v).bit_length() // w + 1  # deg*w <= bits < (deg+1)*w
         v += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")  # 2^(w-1) on every digit
