@@ -2,8 +2,7 @@
 """Best-of-N time per call, in microseconds, of float evaluators, exact layers and CLI requests.
 
 cfrac is imported from the ``src`` directory given on the command line, so
-the same script times any checkout.  Run it once per checkout, alternating
-between them, to compare commits on one machine.  Each layer gets one
+the same script times any checkout.  Each layer gets one
 warm-up call, which fills its term table, then ``--repeat`` runs of
 ``--number`` calls, or of as many calls as one timed call says fit in
 about 0.2 s if that is fewer; the fastest run's mean per call is reported.
@@ -19,12 +18,21 @@ handler, and one with an abbreviated option, which the option table
 leaves to argparse, so both parse paths are timed.  The CLI
 requests print into a discarded buffer.
 
+With ``--baseline OTHER_SRC`` the in-process rows are timed against that
+checkout in the same interpreter: its ``cfrac`` is loaded a second time,
+as ``cfrac_baseline``, and the two sides' calls alternate one by one, each
+going first in every other pair.  Each row then also reports the
+baseline's time, as ``<row> [baseline]``, and the median over all pairs of
+the ratio of this checkout's call time to the baseline's, as ``<row>
+[ratio]``; a ratio below 1 is a gain.  Sharing one process lets the pairs
+resolve changes of a few percent that separate runs of this script cannot.
+
 The ``one-shot`` rows (``ONE_SHOT``) start a new interpreter per sample,
 which times itself from before it puts SRC on ``sys.path`` to after
 ``import cfrac``, or after ``import cfrac.cli`` and a first ``eval sec-tan
 --x 1`` (what the benchmark's cli ``setup_s`` times) or ``verify all``; the
-median of ``--repeat`` interpreters is reported.  With ``--baseline
-OTHER_SRC`` the interpreters alternate between the two checkouts, each
+median of ``--repeat`` interpreters is reported.  With a baseline the
+interpreters alternate between the two checkouts, each
 going first in every other round, and the baseline's medians are reported
 too, as ``<row> [baseline]``.  Prints one JSON object mapping each layer to
 its time.
@@ -36,11 +44,14 @@ Usage:
 import argparse
 import contextlib
 import dataclasses
+import importlib
+import importlib.util
 import io
 import json
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -66,7 +77,9 @@ def layers(cfrac) -> dict:
     }
     for depth in (16, 32, 64):
         calls[f"eval_backward(xcot, 0.7, {depth})"] = lambda d=depth: cfrac.eval_backward(xcot, 0.7, d)
+    calls["eval_adaptive(xcot, 20.0)"] = lambda: cfrac.eval_adaptive(xcot, 20.0, 1e-12)  # deep: 128
     calls["eval_forward(xcot, 0.7, 32)"] = lambda: cfrac.eval_forward(xcot, 0.7, 32)
+    calls["eval_forward(sec-tan, 1.0, 32)"] = lambda: cfrac.eval_forward(flat, 1.0, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
     exact = cfrac.exact
@@ -120,6 +133,60 @@ def one_shot_rows(srcs: dict[str, Path], repeat: int) -> dict:
     return times
 
 
+def load_baseline(src: Path):
+    """The ``cfrac`` package under ``src``, imported as ``cfrac_baseline`` next to ``cfrac``."""
+    name = "cfrac_baseline"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "cfrac" / "__init__.py", submodule_search_locations=[str(src / "cfrac")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package  # its relative imports resolve through this entry
+    spec.loader.exec_module(package)
+    for module in ("cli", "exact"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def _calls_per_run(call) -> int:
+    """``--number``, or as many calls as one timed call says fit in ``RUN_SECONDS`` if fewer."""
+    return max(1, int(RUN_SECONDS / timeit.timeit(call, number=1)))
+
+
+def best_rows(calls: dict, repeat: int, number: int) -> dict:
+    """Row -> the fastest of ``repeat`` runs' mean microseconds per call."""
+    times = {}
+    for name, call in calls.items():
+        call()
+        n = min(number, _calls_per_run(call))
+        times[name] = round(min(timeit.repeat(call, repeat=repeat, number=n)) / n * 1e6, 3)
+    return times
+
+
+def paired_rows(calls: dict, base_calls: dict, repeat: int, number: int) -> dict:
+    """``best_rows`` of both sides, their calls alternating, and the median ratio of the pairs."""
+    clock, times = time.perf_counter, {}
+    for name, call in calls.items():
+        sides = (call, base_calls[name])
+        for side in sides:
+            side()
+        n = min(number, _calls_per_run(call))
+        runs, ratios = [], []
+        for _ in range(repeat):
+            spent = [0.0, 0.0]
+            for i in range(n):
+                took = [0.0, 0.0]
+                for s in (i % 2, 1 - i % 2):  # each side first in every other pair
+                    t0 = clock()
+                    sides[s]()
+                    took[s] = clock() - t0
+                spent = [a + b for a, b in zip(spent, took)]
+                ratios.append(took[0] / took[1])
+            runs.append(spent)
+        for s, label in enumerate(("", " [baseline]")):
+            times[name + label] = round(min(run[s] for run in runs) / n * 1e6, 3)
+        times[f"{name} [ratio]"] = round(statistics.median(ratios), 4)
+    return times
+
+
 def _quiet(main, argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
@@ -130,7 +197,7 @@ def main() -> None:
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding cfrac/")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--number", type=int, default=2000)
-    parser.add_argument("--baseline", help="a second checkout's src directory, for the one-shot rows")
+    parser.add_argument("--baseline", help="a second checkout's src directory to compare against")
     args = parser.parse_args()
 
     srcs = {"": Path(args.src).resolve()}
@@ -143,12 +210,11 @@ def main() -> None:
     import cfrac.cli
     import cfrac.exact  # noqa: F401  (import cfrac need not load it)
 
-    times = {}
-    for name, call in layers(cfrac).items():
-        call()
-        number = max(1, min(args.number, int(RUN_SECONDS / timeit.timeit(call, number=1))))
-        best = min(timeit.repeat(call, repeat=args.repeat, number=number))
-        times[name] = round(best / number * 1e6, 3)
+    if args.baseline:
+        base_calls = layers(load_baseline(srcs[" [baseline]"]))
+        times = paired_rows(layers(cfrac), base_calls, args.repeat, args.number)
+    else:
+        times = best_rows(layers(cfrac), args.repeat, args.number)
     times.update(one_shot_rows(srcs, args.repeat))
     print(json.dumps(times, indent=2))
 

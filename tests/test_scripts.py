@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ("tail_acceleration.py", ["--x", "0.8", "--levels", "2"]),
         ("convergence_study.py", ["--max-depth", "4", "--points", "5"]),
         ("bench_layers.py", [str(ROOT / "src"), "--repeat", "1", "--number", "1"]),
+        # in-process pairs against a second copy of cfrac, here the same checkout
+        ("bench_layers.py", ["--repeat", "1", "--number", "1", "--baseline", str(ROOT / "src")]),
     ],
 )
 def test_study_script_runs(script, args):
@@ -40,4 +42,8 @@ def test_study_script_runs(script, args):
             "one-shot cli.main(eval sec-tan --x 1)",
         } <= set(times)
         assert all(t > 0 for t in times.values())
+        if "--baseline" in args:  # each row also timed in the baseline, with the pairs' ratio
+            row = "eval_forward(sec-tan, 1.0, 32)"
+            assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
+                    "one-shot import cfrac [baseline]"} <= set(times)
 
