@@ -2,10 +2,10 @@
 """Best-of-N time per call, in microseconds, of float evaluators, exact layers and CLI requests.
 
 cfrac is imported from the ``src`` directory given on the command line, so
-the same script times any checkout.  Each layer gets one
-warm-up call, which fills its term table, then ``--repeat`` runs of
-``--number`` calls, or of as many calls as one timed call says fit in
-about 0.2 s if that is fewer; the fastest run's mean per call is reported.
+the same script times any checkout.  Each layer gets one warm-up call,
+which fills its term table, then ``--repeat`` runs of ``--number`` calls,
+or of as many calls as one timed call says fit in about 0.2 s if that is
+fewer; the fastest run's mean per call is reported.
 The ``convergent_exact`` rows run from depth 2 and 4, where the per-call
 overhead of the exact fold weighs most, to 60.  The ``fresh`` rows time a
 first call instead: ``convergent_exact`` on a new copy of the spec, which
@@ -24,7 +24,8 @@ as ``cfrac_baseline``, and the two sides' calls alternate one by one, each
 going first in every other pair.  Each row then also reports the
 baseline's time, as ``<row> [baseline]``, and the median over all pairs of
 the ratio of this checkout's call time to the baseline's, as ``<row>
-[ratio]``; a ratio below 1 is a gain.  Sharing one process lets the pairs
+[ratio]``; a ratio below 1 is a gain.  Each call is timed on its own, so
+both sides' times include one clock read.  Sharing one process lets the pairs
 resolve changes of a few percent that separate runs of this script cannot.
 
 The ``one-shot`` rows (``ONE_SHOT``) start a new interpreter per sample,
@@ -77,7 +78,8 @@ def layers(cfrac) -> dict:
     }
     for depth in (16, 32, 64):
         calls[f"eval_backward(xcot, 0.7, {depth})"] = lambda d=depth: cfrac.eval_backward(xcot, 0.7, d)
-    calls["eval_adaptive(xcot, 20.0)"] = lambda: cfrac.eval_adaptive(xcot, 20.0, 1e-12)  # deep: 128
+    # a long driver call: its probes reach depth 128
+    calls["eval_adaptive(xcot, 20.0)"] = lambda: cfrac.eval_adaptive(xcot, 20.0, 1e-12)
     calls["eval_forward(xcot, 0.7, 32)"] = lambda: cfrac.eval_forward(xcot, 0.7, 32)
     calls["eval_forward(sec-tan, 1.0, 32)"] = lambda: cfrac.eval_forward(flat, 1.0, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
@@ -147,7 +149,7 @@ def load_baseline(src: Path):
 
 
 def _calls_per_run(call) -> int:
-    """``--number``, or as many calls as one timed call says fit in ``RUN_SECONDS`` if fewer."""
+    """How many calls one timed call says fit in ``RUN_SECONDS``; at least one."""
     return max(1, int(RUN_SECONDS / timeit.timeit(call, number=1)))
 
 
