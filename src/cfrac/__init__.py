@@ -73,7 +73,6 @@ __all__ = [
     "PolyTerm",
     "RatFunc",
     "TermPair",
-    "alternating_count",
     "convergent_exact",
     "eval_adaptive",
     "eval_backward",

@@ -13,18 +13,20 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
   halved level m, for every tail value t (level 0 after the leading step).
 - ``verify_series``: Taylor coefficients of deep sec-tan convergents equal
   zigzag(n)/n!, from one boustrophedon triangle (``_zigzags``); the tests
-  cross-check ``zigzag`` for n <= 8 with ``alternating_count``.
+  cross-check ``zigzag`` for n <= 8 by counting alternating permutations.
 
 Each recursion level is written once, as a list of continued-fraction
 steps t -> b + a/t (Jones & Thron 1980; a shift t -> t + c is the two steps
-c + 1/(0 + 1/t)), and the next link reuses it (``_paired``, ``_offset_rhs``,
-``_halving_rhs``), so the five checks form one chain.  The four algebraic
-suites decide one level each with ``_agree_for_every_tail``, whose sides
-are step lists: a level or a slice of a stream's step table, generated
-once per ``CfSpec`` (``_steps``).  By associativity, a stream that agrees
-with the levels 0..m for every tail has, at t = infinity, their
-convergents.  ``SUITES`` lists the suites in derivation order with the
-deepest stream row each reads or rewrites and their default levels.
+c + 1/(0 + 1/t)) whose b and a are literal coefficients in x, and the next
+link reuses it (``_paired``, ``_offset_rhs``, ``_halving_rhs``; the halving
+side is taken at 2x by substitution, ``_at``), so the five checks form one
+chain.  The four algebraic suites decide one level each with
+``_agree_for_every_tail``, whose sides are step lists: a level or a slice
+of a stream's step table, generated once per ``CfSpec`` (``_steps``).  By
+associativity, a stream that agrees with the levels 0..m for every tail
+has, at t = infinity, their convergents.  ``SUITES`` lists the suites in
+derivation order with the deepest stream row each reads or rewrites and
+their default levels.
 
 The layer has one exact fold of steps (``_cleared``, ``_packed``), shared
 by ``convergent_exact`` and every suite.  It holds a polynomial p as the
@@ -38,7 +40,8 @@ one common denominator, which is divided out once.
 Every check is a decision with zero tolerance, never a sample.  A
 coefficient is an ``int`` when integral and a ``Fraction`` otherwise, never
 a float.  ``Poly`` and ``RatFunc`` are deliberately minimal (univariate,
-dense, never reduced).
+dense, never reduced): they are the results of ``convergent_exact`` and the
+input of ``series_from_ratfunc``, and the four algebraic suites build none.
 """
 
 from __future__ import annotations
@@ -101,15 +104,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly()
@@ -154,7 +148,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 _ZERO = Fraction(0)
 _P_ONE = Poly([1])
-_X = Poly([0, 1])
 
 
 class RatFunc:
@@ -277,31 +270,16 @@ def _zigzags(n: int) -> list[int]:
     return out
 
 
-def alternating_count(n: int) -> int:
-    """Brute-force count of down-up alternating permutations of {1..n}.
-
-    Independent cross-check for ``zigzag`` (enumeration, so keep n <= 9).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n <= 1:
-        return 1
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        if all((perm[i] > perm[i + 1]) == (i % 2 == 0) for i in range(n - 1)):
-            count += 1
-    return count
-
-
 # A step (b, a) maps a tail value t to b + a/t; b and a are kept as the
 # (power, coefficient) pairs of their nonzero monomials.
 _Step = tuple[list, list]
 
+# x, -x and -x^2 as coefficient tuples, x^0 first: the levels' partial numerators
+_PLUS_X, _MINUS_X, _MINUS_XX = (0, 1), (0, -1), (0, 0, -1)
 
-def _step(b, a) -> _Step:
-    """The step t -> b + a/t; b and a are each a scalar, a Poly or a coefficient tuple, x^0 first."""
-    b = b.coeffs if isinstance(b, Poly) else b if isinstance(b, tuple) else (b,)
-    a = a.coeffs if isinstance(a, Poly) else a if isinstance(a, tuple) else (a,)
+
+def _step(b: tuple, a: tuple) -> _Step:
+    """The step t -> b + a/t; b and a are coefficient tuples, x^0 first."""
     return [(i, c) for i, c in enumerate(b) if c], [(i, c) for i, c in enumerate(a) if c]
 
 
@@ -316,7 +294,7 @@ def _steps(cf: CfSpec, depth: int) -> list[_Step]:
     if len(rows) > depth:
         return rows
     grown = rows[:-1]
-    b, _ = rows[-1] if rows else _step(cf.leading.coefficients(), 0)
+    b, _ = rows[-1] if rows else _step(cf.leading.coefficients(), ())
     for k in range(max(len(rows), 1), depth + 1):
         pair = cf.termgen(k)
         b_k, a = _step(pair.b.coefficients(), pair.a.coefficients())
@@ -327,9 +305,14 @@ def _steps(cf: CfSpec, depth: int) -> list[_Step]:
     return grown
 
 
-def _shift(c: Poly) -> list[_Step]:
-    """The map t -> t + c, as the two steps c + 1/(0 + 1/t)."""
-    return [_step(c, 1), _step(0, 1)]
+def _shift(c: tuple) -> list[_Step]:
+    """The map t -> t + c, c a coefficient tuple, as the two steps c + 1/(0 + 1/t)."""
+    return [_step(c, (1,)), _step((), (1,))]
+
+
+def _at(steps: list[_Step], s) -> list[_Step]:
+    """``steps`` with x -> s*x: each coefficient at x^i times s^i."""
+    return [([(i, c * s**i) for i, c in b], [(i, c * s**i) for i, c in a]) for b, a in steps]
 
 
 def _fold(steps: list[_Step]) -> tuple[Poly, Poly]:
@@ -394,13 +377,13 @@ def _unpack(v: int, w: int, scale: int) -> Poly:
 
 
 def _agree_for_every_tail(
-    lhs: Callable[[int, Poly], list[_Step]],
-    rhs: Callable[[int, Poly], list[_Step]],
+    lhs: Callable[[int], list[_Step]],
+    rhs: Callable[[int], list[_Step]],
     k: int,
 ) -> bool:
-    """Decide lhs(k, x) == rhs(k, x) as rational functions of x and the tail t.
+    """Decide lhs(k) == rhs(k) as rational functions of x and the tail t.
 
-    Each side is a step list at x, so a Moebius map in t: folded onto the
+    Each side is a step list, so a Moebius map in t: folded onto the
     pair (t, 1), lhs gives (a*t + b, c*t + d) and rhs (p*t + q, r*t + s).
     They agree for every t exactly when (a*t + b)*(r*t + s) equals
     (p*t + q)*(c*t + d) in x and t.  At t = 2^w and x = 2^(3w) each x^i*t^j,
@@ -410,25 +393,26 @@ def _agree_for_every_tail(
     """
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
-    sides = [_cleared(side(k, _X), 1, 1) for side in (lhs, rhs)]
+    sides = [_cleared(side(k), 1, 1) for side in (lhs, rhs)]
     w = 2 * max(bound for *_, bound in sides).bit_length() + 1
     (a, c), (p, r) = (_packed(steps, lcm, 1 << w, 1, 3 * w) for lcm, steps, _ in sides)
     return c != 0 and r != 0 and a * r == p * c
 
 
-def _paired(k: int, xx: Poly) -> list[_Step]:
-    # paired level at x^2 = xx: 4k+1 - xx/(4k+3 - xx/t), with t = paired_{k+1}
-    return [_step(4 * k + 1, -xx), _step(4 * k + 3, -xx)]
+def _paired(k: int) -> list[_Step]:
+    # paired level: 4k+1 - x^2/(4k+3 - x^2/t), with t = paired_{k+1}
+    return [_step((4 * k + 1,), _MINUS_XX), _step((4 * k + 3,), _MINUS_XX)]
 
 
-def _offset_lhs(k: int, x: Poly) -> list[_Step]:
+def _offset_lhs(k: int) -> list[_Step]:
     # paired level with its tail set to t + x, shifted by -x
-    return [*_shift(-x), *_paired(k, x * x), *_shift(x)]
+    return [*_shift(_MINUS_X), *_paired(k), *_shift(_PLUS_X)]
 
 
-def _offset_rhs(k: int, x: Poly) -> list[_Step]:
+def _offset_rhs(k: int) -> list[_Step]:
     # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}
-    return [_step(4 * k + 1, -x), _step(1, -x), _step(4 * k + 3, x), _step(1, x)]
+    return [_step((4 * k + 1,), _MINUS_X), _step((1,), _MINUS_X),
+            _step((4 * k + 3,), _PLUS_X), _step((1,), _PLUS_X)]
 
 
 def verify_offset_rewrite(k: int = 0) -> bool:
@@ -442,14 +426,15 @@ def verify_offset_rewrite(k: int = 0) -> bool:
     return _agree_for_every_tail(_offset_lhs, _offset_rhs, k)
 
 
-def _halving_lhs(k: int, x: Poly) -> list[_Step]:
+def _halving_lhs(k: int) -> list[_Step]:
     # halved_k(2x), with tail t: equals offset_k(x) when halved_k(x) = offset_k(x/2)
-    return _halving_rhs(k, x.scale(2))
+    return _at(_halving_rhs(k), 2)
 
 
-def _halving_rhs(k: int, x: Poly) -> list[_Step]:
+def _halving_rhs(k: int) -> list[_Step]:
     # halved level: 4k+1 - x/(2 - x/(4k+3 + x/(2 + x/t))), with t = halved_{k+1}
-    return [_step(4 * k + 1, -x), _step(2, -x), _step(4 * k + 3, x), _step(2, x)]
+    return [_step((4 * k + 1,), _MINUS_X), _step((2,), _MINUS_X),
+            _step((4 * k + 3,), _PLUS_X), _step((2,), _PLUS_X)]
 
 
 def verify_halving_rewrite(k: int = 0) -> bool:
@@ -470,23 +455,22 @@ def verify_pairing(m: int) -> bool:
     """Decide that steps 2m and 2m+1 of the x*cot(x) stream are the paired level m.
 
     The stream's steps (b_2m, a_(2m+1)) and (b_(2m+1), a_(2m+2)) must be the
-    map of ``_paired(m, x^2)``, t -> 4m+1 - x^2/(4m+3 - x^2/t), for every
+    map of ``_paired(m)``, t -> 4m+1 - x^2/(4m+3 - x^2/t), for every
     tail t.  With levels 0..m checked, the stream's depth-(2m+1) convergent
     is the paired recursion through level m at t = infinity.
     """
-    return _agree_for_every_tail(lambda k, x: _stream_steps(xcot_spec(), 2 * k, 2 * k + 1),
-                                 lambda k, x: _paired(k, x * x), m)
+    return _agree_for_every_tail(lambda k: _stream_steps(xcot_spec(), 2 * k, 2 * k + 1), _paired, m)
 
 
-def _flat_level(k: int, x: Poly) -> list[_Step]:
+def _flat_level(k: int) -> list[_Step]:
     # halved level k as the sec-tan stream holds it: level 0 after the leading step (1, x)
-    return ([_step(1, x)] if k == 0 else []) + _halving_rhs(k, x)
+    return ([_step((1,), _PLUS_X)] if k == 0 else []) + _halving_rhs(k)
 
 
 def verify_flattening(m: int) -> bool:
     """Decide that steps 4m+1..4m+4 of the sec-tan stream are the halved level m.
 
-    The stream's steps must be the map of ``_halving_rhs(m, x)``,
+    The stream's steps must be the map of ``_halving_rhs(m)``,
     t -> 4m+1 - x/(2 - x/(4m+3 + x/(2 + x/t))), for every tail t; at m = 0
     both sides also start with the leading step (1, x), so that
     sec(x) + tan(x) = 1 + x/halved_0(x).  With levels 0..m checked, the
@@ -494,7 +478,7 @@ def verify_flattening(m: int) -> bool:
     m at t = infinity.
     """
     return _agree_for_every_tail(
-        lambda k, x: _stream_steps(sec_tan_spec(), 4 * k + 1 if k else 0, 4 * k + 4), _flat_level, m)
+        lambda k: _stream_steps(sec_tan_spec(), 4 * k + 1 if k else 0, 4 * k + 4), _flat_level, m)
 
 
 def verify_series(order: int) -> bool:

@@ -1,6 +1,10 @@
-"""Reference Taylor series for the tests: plain Fraction long division."""
+"""Reference oracles for the tests: plain Fraction long division for Taylor
+series, a coefficient-wise polynomial sum and a brute-force zigzag count."""
 
+import itertools
 from fractions import Fraction
+
+from cfrac import Poly
 
 
 def reference_series(f, order):
@@ -20,3 +24,17 @@ def reference_series(f, order):
             acc -= den[j] * out[i - j]
         out.append(acc / den[0])
     return out
+
+
+def poly_add(p, q):
+    """The coefficient-wise sum p + q."""
+    return Poly([a + b for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def alternating_count(n):
+    """Brute-force count of the down-up alternating permutations of {1..n}.
+
+    Independent cross-check for ``zigzag`` (enumeration, so keep n <= 9).
+    """
+    return sum(all((p[i] > p[i + 1]) == (i % 2 == 0) for i in range(n - 1))
+               for p in itertools.permutations(range(n)))

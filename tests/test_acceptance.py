@@ -14,7 +14,6 @@ from math import factorial
 from cfrac import (
     CfSpec,
     TermPair,
-    alternating_count,
     convergent_exact,
     eval_backward,
     eval_forward,
@@ -31,6 +30,7 @@ from cfrac import (
 )
 from cfrac import exact
 from cfrac.cli import main
+from series_reference import alternating_count
 
 # 29 points: -1.4, -1.3, ..., 1.4
 SEC_TAN_GRID = [i / 10 for i in range(-14, 15)]
@@ -71,12 +71,12 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
         # every suite must be able to fail: plant one defect per identity
         original_offset = exact._offset_rhs
         with monkeypatch.context() as mp:
-            mp.setattr(exact, "_offset_rhs", lambda k, x: original_offset(k, -x))
+            mp.setattr(exact, "_offset_rhs", lambda k: exact._at(original_offset(k), -1))  # x -> -x
             assert not exact.verify_offset_rewrite(0)
 
-        def bad_halving(k, x):  # the halved level with its 2 replaced by 3
-            step = exact._step
-            return [step(4 * k + 1, -x), step(3, -x), step(4 * k + 3, x), step(2, x)]
+        def bad_halving(k):  # the halved level with its 2 replaced by 3
+            step, x, minus_x = exact._step, (0, 1), (0, -1)
+            return [step((4 * k + 1,), minus_x), step((3,), minus_x), step((4 * k + 3,), x), step((2,), x)]
 
         with monkeypatch.context() as mp:
             mp.setattr(exact, "_halving_rhs", bad_halving)
@@ -189,6 +189,6 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
         # exit 3: a planted defect must surface as a verification failure
         original = exact._offset_rhs
         with monkeypatch.context() as mp:
-            mp.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
+            mp.setattr(exact, "_offset_rhs", lambda k: exact._at(original(k), -1))  # x -> -x
             assert main(["verify", "offset"]) == 3
         capsys.readouterr()

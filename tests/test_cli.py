@@ -316,7 +316,7 @@ def test_verify_is_reproducible(capsys):
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     original = exact._offset_rhs
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k: exact._at(original(k), -1))  # x -> -x
     code, out, err = run(capsys, "verify", "offset")
     assert code == 3
     assert "fail" in out

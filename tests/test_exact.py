@@ -17,7 +17,6 @@ from cfrac import (
     PoleAtOrigin,
     RatFunc,
     TermPair,
-    alternating_count,
     convergent_exact,
     poly,
     poly_gcd,
@@ -31,7 +30,7 @@ from cfrac import (
 )
 from cfrac import exact, expansions
 from cfrac.expansions import sec_tan_spec, xcot_spec
-from series_reference import reference_series
+from series_reference import alternating_count, poly_add, reference_series
 
 # Zigzag numbers: hand-checkable for small n (1, 1, 1, 2, 5, 16, ...), larger
 # entries frozen from the brute-force permutation count in this suite.
@@ -51,8 +50,8 @@ def test_poly_trims_trailing_zeros():
 def test_poly_arithmetic():
     a = Poly((1, 2, 3))
     b = Poly((0, 1))
-    assert a + b == Poly((1, 3, 3))
-    assert a + (-a) == Poly(())
+    assert poly_add(a, b) == Poly((1, 3, 3))
+    assert poly_add(a, a.scale(-1)) == Poly(())
     assert a * b == Poly((0, 1, 2, 3))
     assert a.scale(Fraction(1, 2)) == Poly((Fraction(1, 2), 1, Fraction(3, 2)))
     assert a(Fraction(2)) == 1 + 4 + 12
@@ -90,14 +89,14 @@ def test_poly_divmod_identity():
     a = Poly((2, -3, 1, 5))
     b = Poly((1, 1))
     q, r = divmod(a, b)
-    assert q * b + r == a
+    assert poly_add(q * b, r) == a
     assert len(r.coeffs) < len(b.coeffs)
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly(()))
 
 
 def test_poly_gcd_is_monic():
-    a = (X + ONE) * Poly((-1, 1))  # x^2 - 1
+    a = Poly((1, 1)) * Poly((-1, 1))  # x^2 - 1
     b = Poly((-3, 3))
     assert poly_gcd(a, b) == Poly((-1, 1))
     assert poly_gcd(Poly(()), b) == Poly((-1, 1))
@@ -113,7 +112,7 @@ def test_ratfunc_unreduced_forms_compare_equal():
     f = RatFunc(ONE, Poly((1, -1)))  # 1/(1-x)
     assert f == RatFunc(Poly((-1,)), Poly((-1, 1)))
     # series extraction cancels the shared power of x first
-    assert series_from_ratfunc(RatFunc(X, X * X + X), 3) == [1, -1, 1, -1]
+    assert series_from_ratfunc(RatFunc(X, Poly((0, 1, 1))), 3) == [1, -1, 1, -1]
     assert series_from_ratfunc(RatFunc(Poly(()), X), 2) == [0, 0, 0]
 
 
@@ -134,7 +133,7 @@ def test_ratfunc_arithmetic():
 
 def test_convergent_exact_lowest_depths():
     flat = sec_tan_spec()
-    assert convergent_exact(flat, 1) == RatFunc(X + ONE)
+    assert convergent_exact(flat, 1) == RatFunc(Poly((1, 1)))
     # depth 3: 1 + x/(1 - x/(2 - x/3)) == (6 + 2x - x^2)/(6 - 4x)
     assert convergent_exact(flat, 3) == RatFunc(Poly((6, 2, -1)), Poly((6, -4)))
 
@@ -236,8 +235,8 @@ def forward_convergent(spec, depth):
     for k in range(1, depth + 1):
         pair = spec.termgen(k)
         a, b = Poly(pair.a.coefficients()), Poly(pair.b.coefficients())
-        p_prev, p = p, b * p + a * p_prev
-        q_prev, q = q, b * q + a * q_prev
+        p_prev, p = p, poly_add(b * p, a * p_prev)
+        q_prev, q = q, poly_add(b * q, a * q_prev)
     return p, q
 
 
@@ -263,7 +262,7 @@ def test_convergent_exact_degenerate():
         f = convergent_exact(inner_zero, depth)
         assert (f.num, f.den) == forward_convergent(inner_zero, depth), depth
     assert convergent_exact(inner_zero, 4).den == Poly((0, 0, 1))
-    assert convergent_exact(inner_zero, 4) == RatFunc(X + ONE)
+    assert convergent_exact(inner_zero, 4) == RatFunc(Poly((1, 1)))
 
 
 def test_exact_table_generates_each_term_once():
@@ -401,7 +400,7 @@ def test_deepest_convergent_has_a_series(spec):
 def test_series_from_ratfunc():
     geometric = RatFunc(ONE, Poly((1, -1)))
     assert series_from_ratfunc(geometric, 4) == [1, 1, 1, 1, 1]
-    assert series_from_ratfunc(RatFunc(X + ONE), 2) == [1, 1, 0]
+    assert series_from_ratfunc(RatFunc(Poly((1, 1))), 2) == [1, 1, 0]
     with pytest.raises(PoleAtOrigin):
         series_from_ratfunc(RatFunc(ONE, X), 3)
     with pytest.raises(ValueError):
@@ -413,7 +412,7 @@ def test_series_from_ratfunc():
     [
         (RatFunc(ONE, Poly((1, 0, -1))), 7),  # zero taps: 1/(1 - x^2)
         (RatFunc(ONE, Poly((-2, 1))), 5),  # negative den_0
-        (RatFunc(X * X * (X + ONE), X * X * Poly((3, -1, 0, 4))), 8),  # shared x^2
+        (RatFunc(X * X * Poly((1, 1)), X * X * Poly((3, -1, 0, 4))), 8),  # shared x^2
         (RatFunc(Poly((2,)), Poly((3, 1, 1))), 12),  # order past len(num)
         (RatFunc(Poly(()), Poly((-5, 1))), 4),  # zero numerator
         (RatFunc(Poly(()), X * X), 3),
@@ -475,10 +474,36 @@ def test_verification_suites_pass():
     assert verify_series(10)
 
 
+def test_algebraic_suites_build_no_poly(monkeypatch):
+    # the four algebraic suites decide on step lists alone, from fresh stream
+    # tables: no Poly is constructed and no fold is unpacked into one
+    built = []
+    original_init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    def no_unpack(*args):
+        raise AssertionError("a suite unpacked a fold into a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(exact, "_unpack", no_unpack)
+    for name in ("xcot_spec", "sec_tan_spec"):
+        fresh = dataclasses.replace(getattr(exact, name)())
+        monkeypatch.setattr(exact, name, lambda fresh=fresh: fresh)
+    for check, suite in ((verify_pairing, "pairing"), (verify_offset_rewrite, "offset"),
+                         (verify_halving_rewrite, "halving"), (verify_flattening, "flatten")):
+        assert all(check(m) for m in range(exact.SUITES[suite].default_level + 1)), suite
+    assert built == []
+    Poly((1,))  # the counter itself counts
+    assert built == [((1,),)]
+
+
 def offset_stream_agrees(spec, k):
     """Rows 4k..4k+3 of an offset stream against the offset level k, for every tail."""
     return exact._agree_for_every_tail(
-        lambda k, x: exact._stream_steps(spec, 4 * k, 4 * k + 3), exact._offset_rhs, k)
+        lambda k: exact._stream_steps(spec, 4 * k, 4 * k + 3), exact._offset_rhs, k)
 
 
 def test_offset_stream_holds_the_offset_levels():
@@ -523,7 +548,7 @@ def paper_levels(k, x, t):
 
 def fold_onto(steps, num, den):
     """``exact._fold`` onto the tail num/den: the steps (0, num), (den, 0) under ``steps``."""
-    return exact._fold([*steps, exact._step(0, num), exact._step(den, 0)])
+    return exact._fold([*steps, exact._step((), num.coeffs), exact._step(den.coeffs, ())])
 
 
 @pytest.mark.parametrize("x, t", [(Fraction(1, 3), Fraction(7, 4)), (Fraction(-5, 2), Fraction(-3)),
@@ -532,7 +557,7 @@ def test_factor_lists_fold_to_the_paper_levels(x, t):
     # pins each level's factor list to its formula, apart from the suites
     for k in range(4):
         for name, expected in paper_levels(k, x, t).items():
-            factors = getattr(exact, name)(k, X * X if name == "_paired" else X)
+            factors = getattr(exact, name)(k)
             num, den = fold_onto(factors, Poly((t,)), ONE)
             assert RatFunc(num, den)(x) == expected, (name, k)
 
@@ -542,13 +567,13 @@ def test_halving_sides_fold_on_ints(k):
     # halved_k(2x) == offset_k(x) is decided without a Fraction coefficient
     for side in (exact._halving_lhs, exact._offset_rhs):
         for tail in ((ONE, Poly(())), (Poly(()), ONE)):  # t = infinity, t = 0
-            for part in fold_onto(side(k, X), *tail):
+            for part in fold_onto(side(k), *tail):
                 assert all(type(c) is int for c in part.coeffs), (side.__name__, k)
 
 
 def test_fold_takes_steps_of_any_degree():
     # cubic partial numerators: each product is sized from its step's powers
-    steps = [exact._step(Poly((1, 2)), Poly((1, 0, 0, 3))), exact._step(3, Poly((0, 0, 0, -2)))]
+    steps = [exact._step((1, 2), (1, 0, 0, 3)), exact._step((3,), (0, 0, 0, -2))]
     x, t = Fraction(2, 3), Fraction(-5, 7)
     num, den = fold_onto(steps, Poly((t,)), ONE)
     assert RatFunc(num, den)(x) == 1 + 2 * x + (1 + 3 * x**3) / (3 - 2 * x**3 / t)
@@ -586,7 +611,7 @@ def random_poly(rng, fractions, big=False):
 
 
 def random_steps(rng, fractions, count=None, big=False):
-    return [exact._step(random_poly(rng, fractions, big), random_poly(rng, fractions, big))
+    return [exact._step(random_poly(rng, fractions, big).coeffs, random_poly(rng, fractions, big).coeffs)
             for _ in range(rng.randint(0, 12) if count is None else count)]
 
 
@@ -620,10 +645,23 @@ def test_packed_fold_at_the_width_bound(coefficients):
     bound = sum(map(abs, coefficients))
     w = (bound.bit_length() + 8) // 8 * 8
     assert bound < 2 ** (w - 1) <= 2 * bound + 2
-    steps = [exact._step(Poly(coefficients), 1)]
+    steps = [exact._step(coefficients, (1,))]
     assert exact._fold(steps) == list_fold(steps, ONE, Poly(())) == (Poly(coefficients), ONE)
-    deeper = steps + [exact._step(1, 1), exact._step(-1, 1)]
+    deeper = steps + [exact._step((1,), (1,)), exact._step((-1,), (1,))]
     assert typed(exact._fold(deeper)) == typed(list_fold(deeper, ONE, Poly(())))
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("s", [-1, 2, 3])
+def test_substitution_scales_each_power(fractions, s):
+    # _at(steps, s) is steps at s*x: its fold at x is the fold of steps at s*x
+    rng = random.Random(f"at:{fractions}:{s}")
+    for trial in range(60):
+        steps = random_steps(rng, fractions)
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        num, den = exact._fold(exact._at(steps, s))
+        ref_num, ref_den = exact._fold(steps)
+        assert (num(x), den(x)) == (ref_num(s * x), ref_den(s * x)), trial
 
 
 def cross_multiplied(lhs, rhs):
@@ -632,7 +670,7 @@ def cross_multiplied(lhs, rhs):
     (a, c), (b, d), (p, r), (q, s) = (list_fold(steps, *t) for steps in (lhs, rhs) for t in tails)
     if (c.is_zero and d.is_zero) or (r.is_zero and s.is_zero):
         return False
-    return a * r == p * c and a * s + b * r == p * d + q * c and b * s == q * d
+    return a * r == p * c and poly_add(a * s, b * r) == poly_add(p * d, q * c) and b * s == q * d
 
 
 def _raise_top(steps):
@@ -649,9 +687,10 @@ def test_packed_tail_check_matches_poly_cross_multiplication(fractions):
     for trial in range(40 if fractions else 120):
         lhs = random_steps(rng, fractions, big=trial % 4 == 0)
         c = random_poly(rng, fractions)
-        for rhs in (lhs, [*exact._shift(c), *lhs, *exact._shift(-c)] if trial % 2 else lhs + exact._shift(c),
+        shift, unshift = exact._shift(c.coeffs), exact._shift(c.scale(-1).coeffs)
+        for rhs in (lhs, [*shift, *lhs, *unshift] if trial % 2 else lhs + shift,
                     _raise_top(lhs), random_steps(rng, fractions)):
-            verdict = exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
+            verdict = exact._agree_for_every_tail(lambda k: lhs, lambda k: rhs, 0)
             assert verdict == cross_multiplied(lhs, rhs), trial
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
@@ -663,7 +702,7 @@ def test_packed_tail_check_reads_the_highest_coefficient(top):
     low = [(0, 2**62 - 1), (3, -(2**61))]
     for lhs_top, rhs_top in ((top, top + 1), (top, top - 1), (top, -top), (top, top)):
         lhs, rhs = [([*low, (5, lhs_top)], [])], [([*low, (5, rhs_top)], [])]
-        verdict = exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
+        verdict = exact._agree_for_every_tail(lambda k: lhs, lambda k: rhs, 0)
         assert verdict == cross_multiplied(lhs, rhs) == (lhs_top == rhs_top)
 
 
@@ -672,15 +711,15 @@ def test_packed_tail_check_is_wide_enough_for_the_products():
     # x - 256*t^2, which vanishes at t = 2^8, x = 2^24.  A width of bits(M) + 2
     # = 8 bits, M = 49 bounding the sides' sums, would call them equal; the
     # products need 2*bits(M) + 1.
-    lhs = [exact._step(0, 1), exact._step(0, 16), exact._step(0, X)]
-    rhs = [exact._step(X, Poly((16, -16))), exact._step(16, 1)]
+    lhs = [exact._step((), (1,)), exact._step((), (16,)), exact._step((), (0, 1))]
+    rhs = [exact._step((0, 1), (16, -16)), exact._step((16,), (1,))]
     assert not cross_multiplied(lhs, rhs)
-    assert not exact._agree_for_every_tail(lambda k, x: lhs, lambda k, x: rhs, 0)
+    assert not exact._agree_for_every_tail(lambda k: lhs, lambda k: rhs, 0)
 
 
 def test_offset_rewrite_detects_sign_flip(monkeypatch):
     original = exact._offset_rhs
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, -x))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k: exact._at(original(k), -1))  # x -> -x
     assert not verify_offset_rewrite(0)
 
 
@@ -688,8 +727,8 @@ def test_offset_rewrite_detects_sign_flip(monkeypatch):
 def test_offset_rewrite_detects_a_shifted_tail(monkeypatch, shift):
     # right at every x, wrong in t: the tail t becomes t + shift
     original = exact._offset_rhs
-    shifted = exact._shift(Poly((shift,)))
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + shifted)
+    shifted = exact._shift((shift,))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k: original(k) + shifted)
     assert not verify_offset_rewrite(0)
     assert not verify_offset_rewrite(3)
 
@@ -698,18 +737,18 @@ def test_offset_rewrite_decides_every_tail(monkeypatch):
     # t -> 3 - 2/t = (3t - 2)/t fixes t = 1 and t = 2 only, so this right side
     # is still a Moebius map in t that agrees with the true one at two tails
     original = exact._offset_rhs
-    moebius = exact._step(3, Poly((-2,)))
-    monkeypatch.setattr(exact, "_offset_rhs", lambda k, x: original(k, x) + [moebius])
+    moebius = exact._step((3,), (-2,))
+    monkeypatch.setattr(exact, "_offset_rhs", lambda k: original(k) + [moebius])
     assert not verify_offset_rewrite(0)
 
 
 @pytest.mark.parametrize(
     "factors",
     [
-        [exact._step(0, ONE), exact._step(1, ONE)],  # t/(t + 1): differs from t in t^2 only
-        [exact._step(0, Poly((2,))), exact._step(0, ONE)],  # 2t: in t only
-        exact._shift(ONE),  # t + 1: in the constant term only
-        [exact._step(0, Poly(())), exact._step(0, Poly(()))],  # the pair (0, 0): no function
+        [exact._step((), (1,)), exact._step((1,), (1,))],  # t/(t + 1): differs from t in t^2 only
+        [exact._step((), (2,)), exact._step((), (1,))],  # 2t: in t only
+        exact._shift((1,)),  # t + 1: in the constant term only
+        [exact._step((), ()), exact._step((), ())],  # the pair (0, 0): no function
     ],
     ids=["t^2", "t^1", "t^0", "no-denominator"],
 )
@@ -717,17 +756,26 @@ def test_tail_decision_reads_each_coefficient_in_t(factors):
     # cross-multiplied against the identity map t -> t (no factors), each of
     # the first three right sides leaves one nonzero coefficient in t; the
     # last leaves none, and fails because it has no denominator
-    def identity(k, x):
+    def identity(k):
         return []
 
     assert exact._agree_for_every_tail(identity, identity, 0)
-    assert not exact._agree_for_every_tail(identity, lambda k, x: factors, 0)
+    assert not exact._agree_for_every_tail(identity, lambda k: factors, 0)
 
 
-def _bad_halving(k, x):
+def _bad_halving(k):
     # the halved level with its 2 replaced by 3
-    step = exact._step
-    return [step(4 * k + 1, -x), step(3, -x), step(4 * k + 3, x), step(2, x)]
+    step, x, minus_x = exact._step, (0, 1), (0, -1)
+    return [step((4 * k + 1,), minus_x), step((3,), minus_x), step((4 * k + 3,), x), step((2,), x)]
+
+
+def _at_minus_x_squared(steps):
+    # steps in x^2 alone with x^2 -> -x^2: each coefficient at x^(2j) times (-1)^j
+    assert all(i % 2 == 0 for b, a in steps for i, _ in b + a)
+    def flip(monomials):
+        return [(i, c * (-1) ** (i // 2)) for i, c in monomials]
+
+    return [(flip(b), flip(a)) for b, a in steps]
 
 
 def test_halving_rewrite_detects_wrong_constant(monkeypatch):
@@ -786,8 +834,8 @@ def test_series_detects_off_by_one(monkeypatch):
 @pytest.mark.parametrize(
     "level, defect, broken",
     [
-        ("_paired", lambda original: lambda k, xx: original(k, -xx), {"pairing", "offset"}),
-        ("_offset_rhs", lambda original: lambda k, x: original(k, -x), {"offset", "halving"}),
+        ("_paired", lambda original: lambda k: _at_minus_x_squared(original(k)), {"pairing", "offset"}),
+        ("_offset_rhs", lambda original: lambda k: exact._at(original(k), -1), {"offset", "halving"}),
         ("_halving_rhs", lambda original: _bad_halving, {"halving", "flatten"}),
     ],
     ids=["paired", "offset", "halved"],
