@@ -332,15 +332,11 @@ def test_deep_table_shares_float_objects():
     assert rows == 16389 and held <= 100 * rows
 
 
-def test_shared_table_under_concurrent_growth():
-    """Eight threads deepen the shared sec-tan table from empty, each in its
-    own order, and get exactly the values of a serial run on a private copy."""
-    spec = sec_tan_spec()
-    assert spec is sec_tan_spec()
-    xs, depths = (0.7, -1.3), range(1, 513)
-    private = sec_tan_spec.__wrapped__()
-    expected = {(x, d): eval_backward(private, x, d) for x in xs for d in depths}
-    object.__setattr__(spec, "_table", sec_tan_spec.__wrapped__()._table)  # start over, empty
+def _grow_concurrently(spec, private, xs, depths, expected):
+    """Eight threads deepen ``spec``'s table from empty, each in its own order;
+    each must get ``expected``, and the table must end as a serial fill of
+    ``private`` puts it."""
+    object.__setattr__(spec, "_table", CfSpec(spec.name, spec.leading, spec.termgen)._table)  # empty
     results, errors = [], []
     start = threading.Barrier(8)
 
@@ -369,8 +365,115 @@ def test_shared_table_under_concurrent_growth():
     assert all(result == expected for result in results)
     rows = len(spec._table[0])  # every coefficient is where a serial fill puts it
     term_at(private, rows - 1, 0.0)
-    assert rows >= 513 and all(len(column) == rows for column in spec._table)
+    assert rows > depths[-1] and all(len(column) == rows for column in spec._table)
     assert all(column == serial[:rows] for column, serial in zip(spec._table, private._table))
+
+
+def test_shared_table_under_concurrent_growth():
+    """Eight threads deepen the shared sec-tan table from empty, each in its
+    own order, and get exactly the values of a serial run on a private copy."""
+    spec = sec_tan_spec()
+    assert spec is sec_tan_spec()
+    xs, depths = (0.7, -1.3), range(1, 513)
+    private = sec_tan_spec.__wrapped__()
+    expected = {(x, d): eval_backward(private, x, d) for x in xs for d in depths}
+    _grow_concurrently(spec, private, xs, depths, expected)
+
+
+def _late_terms(k: int) -> TermPair:
+    """sec-tan's terms until k = 40; from there a_k gains -x^2/16 and b_k gains x/4."""
+    late = k >= 40
+    a = poly(0, 1 if k % 4 in (0, 1) else -1, Fraction(-1, 16) if late else 0)
+    return TermPair(a=a, b=poly(k if k % 2 else 2, Fraction(1, 4) if late else 0))
+
+
+def _late_spec() -> CfSpec:
+    return CfSpec(name="late", leading=poly(1), termgen=_late_terms)
+
+
+def _horner(term, x):
+    """term(x) by the generic float Horner form, from the exact coefficients."""
+    c0, c1, c2 = map(float, term.coefficients())
+    return (c2 * x + c1) * x + c0
+
+
+def _generic_terms(cf, x, depth):
+    """[(a_k(x), b_k(x)) for k = 0..depth], a_0 unused, by the generic Horner form."""
+    return [(0.0, _horner(cf.leading, x))] + [
+        (_horner(pair.a, x), _horner(pair.b, x)) for pair in map(cf.termgen, range(1, depth + 1))]
+
+
+def _generic_backward(terms, depth):
+    r = terms[depth][1]
+    for k in range(depth, 0, -1):
+        r = terms[k - 1][1] + terms[k][0] / r
+    return r
+
+
+def _generic_forward(terms, depth):
+    p_prev, p_cur, q_prev, q_cur, out = 1.0, terms[0][1], 0.0, 1.0, []
+    for a_n, b_n in terms[1 : depth + 1]:
+        p_next, q_next = b_n * p_cur + a_n * p_prev, b_n * q_cur + a_n * q_prev
+        if max(abs(p_next), abs(q_next)) > core._RESCALE_AT:
+            p_next, q_next, p_cur, q_cur = (v * core._RESCALE for v in (p_next, q_next, p_cur, q_cur))
+        out.append(p_next / q_next)
+        p_prev, p_cur, q_prev, q_cur = p_cur, p_next, q_cur, q_next
+    return out
+
+
+def _generic_lentz(terms, eps, max_terms):
+    """(value, depth, |delta - 1|) of the modified Lentz iteration, or None past ``max_terms``."""
+    f = terms[0][1] if abs(terms[0][1]) >= core.TINY_GUARD else core.TINY_GUARD
+    c_prev, d_prev = f, 0.0
+    for j, (a_j, b_j) in enumerate(terms[1 : max_terms + 1], 1):
+        d_cur = b_j + a_j * d_prev
+        d_cur = 1.0 / (d_cur if abs(d_cur) >= core.TINY_GUARD else core.TINY_GUARD)
+        c_cur = b_j + a_j / c_prev
+        c_cur = c_cur if abs(c_cur) >= core.TINY_GUARD else core.TINY_GUARD
+        delta = c_cur * d_cur
+        f *= delta
+        c_prev, d_prev = c_cur, d_cur
+        if abs(delta - 1.0) < eps:
+            return f, j, abs(delta - 1.0)
+    return None
+
+
+LATE_XS = (0.5, -3.0, 12.0, 30.0, -20.0)
+
+
+def test_kernels_follow_a_shape_that_changes_with_depth():
+    """Each kernel, on a fresh table of a stream whose a_k gains an x^2 and whose
+    b_k gains an x coefficient at k = 40, gives the generic Horner fold's bits:
+    at depths 30 and 80, the latter also on a table first grown to 30 only, and
+    in Lentz, which grows the table in the middle of its loop."""
+    past_40 = 0
+    for x in LATE_XS:
+        terms = _generic_terms(_late_spec(), x, 200)
+        for depth in (30, 80):
+            assert eval_backward(_late_spec(), x, depth) == _generic_backward(terms, depth)
+            assert eval_forward(_late_spec(), x, depth) == _generic_forward(terms, depth)
+        spec = _late_spec()
+        eval_backward(spec, x, 30)
+        eval_forward(spec, x, 30)
+        assert eval_backward(spec, x, 80) == _generic_backward(terms, 80)
+        spec = _late_spec()
+        eval_forward(spec, x, 30)
+        assert eval_forward(spec, x, 80) == _generic_forward(terms, 80)
+        for eps in (1e-14, 1e-16):
+            report = eval_lentz(_late_spec(), x, eps, 200)
+            expected = _generic_lentz(terms, eps, 200)
+            assert (report.value, report.depth, report.est_rel_err) == expected
+            past_40 += report.depth > 40
+    assert past_40 >= 4  # rows of both shapes read in one call
+
+
+def test_shared_table_under_concurrent_growth_of_a_changing_shape():
+    """``test_shared_table_under_concurrent_growth`` on a stream whose shape changes
+    at k = 40, against the generic Horner fold."""
+    xs, depths = (0.7, 12.0), range(1, 161)
+    terms = {x: _generic_terms(_late_spec(), x, depths[-1]) for x in xs}
+    expected = {(x, d): _generic_backward(terms[x], d) for x in xs for d in depths}
+    _grow_concurrently(_late_spec(), _late_spec(), xs, depths, expected)
 
 
 def test_table_growth_leaves_published_columns_untouched():

@@ -8,7 +8,11 @@ call raised.  The table was written by the nested evaluators that
 before they became folds over one term stream, so this test is what holds
 the folds to the same bits.  The ``EXTREME`` rows, where x*x or a term
 overflows or underflows, were written by the kernels as they were before
-their per-step guards became comparisons on locals.
+their per-step guards became comparisons on locals.  The ``dense`` and
+``mixed`` user streams, with every coefficient column nonzero and with
+a_k = c*x^2 over b_k affine in x, were added before the kernels were compiled
+per set of zero columns, so they hold shapes the paper's two streams lack
+to the bits of the generic Horner form.
 
 Regenerate the table only for a deliberate change of values:
 
@@ -59,9 +63,17 @@ def _encode(result):
     return [result.value.hex(), result.depth, result.est_rel_err.hex(), result.method]
 
 
+# user streams: all six coefficient columns nonzero, and a = c*x^2 over b affine in x
+DENSE = CfSpec(name="dense", leading=poly(1, Fraction(1, 3), Fraction(1, 5)), termgen=lambda k: TermPair(
+    a=poly(Fraction(1, k + 1), Fraction((-1) ** k, 3), Fraction(-1, 2 * k + 1)),
+    b=poly(2 * k + 1, Fraction(1, 2), Fraction(1, 7))))
+MIXED = CfSpec(name="mixed", leading=poly(1, Fraction(1, 2)), termgen=lambda k: TermPair(
+    a=poly(c2=Fraction(-1, 4 * k * k - 1)), b=poly(2 * k + 1, Fraction(1, 2))))
+
+
 def _calls():
     """(key, thunk) for every pinned call."""
-    specs = {"sec-tan": sec_tan_spec(), "xcot": xcot_spec()}
+    specs = {"sec-tan": sec_tan_spec(), "xcot": xcot_spec(), "dense": DENSE, "mixed": MIXED}
     for x in GRID + EXTREME:
         h = x.hex()
         yield f"sec_tan({h})", lambda x=x: sec_tan(x)
