@@ -18,19 +18,34 @@ relative-error estimate.
 
 Every float evaluator reads the terms from one table per ``CfSpec``: six
 columns a0, a1, a2, b0, b1, b2 of binary64 coefficients indexed by k,
-filled from ``termgen`` up to the deepest index used so far.  An evaluator
-unpacks the columns once per call, evaluates each polynomial inline by
-float Horner, as ``PolyTerm.__call__`` does for a float x, and tests its
-per-step guards by comparisons with locals: ``-c < v < c`` for ``abs(v) < c``,
-false for a nan v as that is.  The shared state is safe under concurrent
-callers because it is never changed in place: a longer table is built from
-fresh lists and replaces it in one assignment, and a published column is
-never appended to.
+filled from ``termgen`` up to the deepest index used so far.  The table
+also holds its shape: which of the six columns are all zero over the rows
+built so far (the sec-tan stream's a_k = +-x and b_k = k or 2 leave only a1
+and b0, x*cot(x)'s a_k = -x^2 and b_k = 2k+1 only a2 and b0).  Each
+evaluator's loop is written once, as a template, and compiled once per
+shape (``_kernels``) with the two term expressions written for that shape;
+an evaluator runs the loop compiled for the shape of the table it reads.
+A term is evaluated by float Horner, as ``PolyTerm.__call__`` does for a
+float x, and gives the bits of the generic form (c2*x + c1)*x + c0 however
+its zero columns are written: a leading zero column is dropped, since
+0.0*x + c == c for finite x, and a later one stays as ``+ 0.0``, which
+turns a -0.0 into 0.0 as adding the column's 0.0 does.  So the sec-tan
+step is ``b0[j] + (a1[k] * x + 0.0) / r``, and a stream with no zero column
+runs the generic loop.  The loops test their per-step guards by
+comparisons with constants bound to locals: ``-c < v < c`` for
+``abs(v) < c``, false for a nan v as that is.  The shared state is safe
+under concurrent callers because it is never changed in place: a longer
+table is built from fresh lists, with its shape in row 0 of column a0,
+where no term lives, and replaces the old one in one assignment, so a
+reader never sees columns with another table's shape; a published column
+is never appended to.  Lentz, which grows the table in the middle of its
+loop, goes on in the loop compiled for the grown table's shape.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Union
@@ -143,7 +158,8 @@ class CfSpec:
     leading: PolyTerm
     termgen: Callable[[int], TermPair]
     # term tables, each replaced whole when it grows: float columns (a0, a1, a2, b0, b1,
-    # b2) by k, row 0 holding ``leading`` as b (``_rows``); exact steps (``exact._steps``)
+    # b2) by k, row 0 holding ``leading`` as b and the shape (``_rows``); exact steps
+    # (``exact._steps``)
     _table: tuple = field(
         default_factory=lambda: ([], [], [], [], [], []), init=False, repr=False, compare=False)
     _steps: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -166,27 +182,85 @@ class EvalReport:
 def finite_float(x) -> float:
     """``x`` as a float; ValueError if it is NaN or infinite."""
     x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return x
+    if x - x == 0.0:  # false for an infinite or nan x
+        return x
+    raise ValueError(f"x must be finite, got {x!r}")
 
 
-def _rows(cf: CfSpec, last: int) -> tuple[list[float], ...]:
-    """``cf``'s columns through index ``last`` at least; a short table at least doubles."""
+_COLUMNS = ("a0", "a1", "a2", "b0", "b1", "b2")
+
+
+def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
+    """``cf``'s columns through index ``last`` at least; a short table at least doubles.
+
+    Row 0 holds ``leading`` as b and, in column a0, where no term lives, the
+    table's shape: bit i set when column i of ``_COLUMNS`` is all zero over the
+    rows of its terms (from 1 for a, from 0 for b).
+    """
     table = cf._table
     rows = len(table[0])
     if rows > last:
         return table
     leading = ([float(c)] for c in cf.leading.coefficients())
-    grown = tuple(map(list, table)) if rows else ([0.0], [0.0], [0.0], *leading)
+    grown = tuple(map(list, table)) if rows else ([0], [0.0], [0.0], *leading)
     memo = {}  # one float object per value; exact coefficients never give -0.0 or nan
     for k in range(len(grown[0]), max(last, 2 * rows) + 1):
         pair = cf.termgen(k)
         for column, c in zip(grown, pair.a.coefficients() + pair.b.coefficients()):
             c = float(c)
             column.append(memo.setdefault(c, c))
+    grown[0][0] = sum(1 << i for i, column in enumerate(grown)
+                      if not any(column[1:] if i < 3 else column))
     object.__setattr__(cf, "_table", grown)
     return grown
+
+
+def _term(c: str, i: str, shape: int) -> str:
+    """Source of c_i(x) by float Horner, (c2[i] * x + c1[i]) * x + c0[i] for c "a" or "b",
+    with each column that ``shape`` marks all zero written as 0.0 and a leading 0.0
+    dropped: the same bits for a finite x."""
+    expr = ""
+    for power in (2, 1, 0):
+        column = f"{c}{power}"
+        value = "0.0" if shape >> _COLUMNS.index(column) & 1 else f"{column}[{i}]"
+        if expr:
+            expr = f"({expr}) * x + {value}" if " + " in expr else f"{expr} * x + {value}"
+        elif value != "0.0":
+            expr = value
+    return expr or "0.0"
+
+
+def _kernels(name: str, template: str) -> list:
+    """One kernel per table shape, each ``template`` compiled for its shape at its first call.
+
+    In the template, ``$a_i`` and ``$b_i`` (i one of j, k, n) stand for the terms
+    a_i(x) and b_i(x) as ``_term`` writes them for the shape, and ``$shape`` for
+    the shape, so the source depends on the shape alone.  The compiled function
+    runs in this module's namespace, and the guard constants it compares with
+    are its default arguments, bound once.
+    """
+    kernels = []
+
+    def compiled(shape: int):
+        def fill(match):
+            key = match[1]
+            return str(shape) if key == "shape" else _term(key[0], key[2], shape)
+
+        zero = " ".join(column for bit, column in enumerate(_COLUMNS) if shape >> bit & 1)
+        code = compile(re.sub(r"\$(\w+)", fill, template),
+                       f"<cfrac.core {name} kernel, zero columns: {zero or 'none'}>", "exec")
+        namespace: dict = {}
+        exec(code, globals(), namespace)
+        return namespace[name]
+
+    def first_call(shape: int):
+        def call(*args):
+            kernels[shape] = kernel = compiled(shape)
+            return kernel(*args)
+        return call
+
+    kernels.extend(map(first_call, range(64)))
+    return kernels
 
 
 def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
@@ -205,17 +279,26 @@ def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = Non
             raise ValueError(f"tail estimate must not be nan, got {tail!r}")
         raise DivisionNearZero(f"tail estimate {tail!r} is below {POLE_THRESHOLD}")
     end = start + depth
-    a0, a1, a2, b0, b1, b2 = _rows(cf, end if tail is None else end + 1)
+    last = end if tail is None else end + 1
+    table = cf._table
+    if len(table[0]) <= last:
+        table = _rows(cf, last)
+    return _FOLD[table[0][0]](table, x, start, end, tail)
+
+
+_FOLD = _kernels("fold", """
+def fold(table, x, start, end, tail, pole=POLE_THRESHOLD, neg_pole=-POLE_THRESHOLD):
+    a0, a1, a2, b0, b1, b2 = table
     r = (b2[end] * x + b1[end]) * x + b0[end]
     if tail is not None:
         r += ((a2[end + 1] * x + a1[end + 1]) * x + a0[end + 1]) / tail
-    pole, neg_pole = POLE_THRESHOLD, -POLE_THRESHOLD
     for k in range(end, start, -1):
         if neg_pole < r < pole:
             raise DivisionNearZero(f"denominator underflow at index {k} (x={x!r})")
         j = k - 1  # b_j + a_k / r
-        r = ((b2[j] * x + b1[j]) * x + b0[j]) + ((a2[k] * x + a1[k]) * x + a0[k]) / r
+        r = ($b_j) + ($a_k) / r
     return r
+""")
 
 
 def eval_backward(cf: CfSpec, x: float, depth: int, tail: float | None = None) -> float:
@@ -257,14 +340,22 @@ def eval_forward(cf: CfSpec, x: float, depth: int) -> list[float]:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     x = finite_float(x)
-    a0, a1, a2, b0, b1, b2 = _rows(cf, depth)
+    table = cf._table
+    if len(table[0]) <= depth:
+        table = _rows(cf, depth)
+    return _FORWARD[table[0][0]](table, x, depth)
+
+
+_FORWARD = _kernels("forward", """
+def forward(table, x, depth,
+            big=_RESCALE_AT, neg_big=-_RESCALE_AT, pole=POLE_THRESHOLD, neg_pole=-POLE_THRESHOLD):
+    a0, a1, a2, b0, b1, b2 = table
     p_prev, p_cur = 1.0, (b2[0] * x + b1[0]) * x + b0[0]
     q_prev, q_cur = 0.0, 1.0
-    big, neg_big, pole, neg_pole = _RESCALE_AT, -_RESCALE_AT, POLE_THRESHOLD, -POLE_THRESHOLD
     convergents = []
     for n in range(1, depth + 1):
-        a_n = (a2[n] * x + a1[n]) * x + a0[n]
-        b_n = (b2[n] * x + b1[n]) * x + b0[n]
+        a_n = $a_n
+        b_n = $b_n
         p_next = b_n * p_cur + a_n * p_prev
         q_next = b_n * q_cur + a_n * q_prev
         if (p_next > big or p_next < neg_big or q_next > big or q_next < neg_big) and p_next == p_next:
@@ -278,6 +369,7 @@ def eval_forward(cf: CfSpec, x: float, depth: int) -> list[float]:
         p_prev, p_cur = p_cur, p_next
         q_prev, q_cur = q_cur, q_next
     return convergents
+""")
 
 
 def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
@@ -305,19 +397,31 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
     if max_terms < 2:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
     x = finite_float(x)
-    a0, a1, a2, b0, b1, b2 = _rows(cf, 0)
+    table = cf._table
+    if len(table[0]) < 2:  # row 1 too, so that the shape covers a term of each column
+        table = _rows(cf, 1)
+    a0, a1, a2, b0, b1, b2 = table
     f = (b2[0] * x + b1[0]) * x + b0[0]
     if abs(f) < TINY_GUARD:
         f = TINY_GUARD
-    c_prev = f
-    d_prev = 0.0
-    tiny, neg_tiny, neg_eps, rows = TINY_GUARD, -TINY_GUARD, -eps, len(a0)
-    for j in range(1, max_terms + 1):
-        if j == rows:  # read the columns again, at least twice as long
-            a0, a1, a2, b0, b1, b2 = _rows(cf, j)
+    return _LENTZ[a0[0]](cf, table, x, eps, max_terms, 1, f, f, 0.0)
+
+
+# Lentz from step ``start`` on, given f, C and D of the step before it
+_LENTZ = _kernels("lentz", """
+def lentz(cf, table, x, eps, max_terms, start, f, c_prev, d_prev,
+          tiny=TINY_GUARD, neg_tiny=-TINY_GUARD):
+    a0, a1, a2, b0, b1, b2 = table
+    neg_eps, rows = -eps, len(a0)
+    for j in range(start, max_terms + 1):
+        if j == rows:  # read the table again, at least twice as long, and follow its shape
+            table = _rows(cf, j)
+            if table[0][0] != $shape:
+                return _LENTZ[table[0][0]](cf, table, x, eps, max_terms, j, f, c_prev, d_prev)
+            a0, a1, a2, b0, b1, b2 = table
             rows = len(a0)
-        a_j = (a2[j] * x + a1[j]) * x + a0[j]
-        b_j = (b2[j] * x + b1[j]) * x + b0[j]
+        a_j = $a_j
+        b_j = $b_j
         d_cur = b_j + a_j * d_prev
         if neg_tiny < d_cur < tiny:
             d_cur = tiny
@@ -331,6 +435,7 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
         if neg_eps < delta - 1.0 < eps:
             return EvalReport(value=f, depth=j, est_rel_err=abs(delta - 1.0), method="lentz")
     raise NoConvergence(f"Lentz did not converge within {max_terms} terms (x={x!r}, eps={eps})")
+""")
 
 
 def relative_difference(v_new: float, v_old: float) -> float:

@@ -476,6 +476,66 @@ def test_shared_table_under_concurrent_growth_of_a_changing_shape():
     _grow_concurrently(_late_spec(), _late_spec(), xs, depths, expected)
 
 
+def _shaped_spec(shape: int) -> CfSpec:
+    """A stream whose columns that ``shape`` marks are all zero, and every other entry nonzero."""
+    def terms(k, bits):
+        return poly(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2) for i in range(3)))
+
+    return CfSpec(name=f"shape {shape}", leading=terms(0, shape >> 3),
+                  termgen=lambda k: TermPair(a=terms(k, shape), b=terms(k, shape >> 3)))
+
+
+def _outcome(thunk):
+    try:
+        result = thunk()
+    except (ArithmeticError, RuntimeError) as err:
+        return type(err).__name__
+    if isinstance(result, list):
+        return [v.hex() for v in result]
+    return result.hex() if isinstance(result, float) else (result.value.hex(), result.depth, result.est_rel_err.hex())
+
+
+def test_every_shape_gives_the_bits_of_the_generic_kernel():
+    """Each kernel compiled for a shape gives the bits (or the exception) of the kernel
+    compiled for no zero column, today's generic Horner loop, on the same table:
+    at signed zeros, subnormals, and where x*x underflows or overflows.  At x = +-1e-170
+    a -0.0 that a dropped ``+ 0.0`` would leave shows in a first convergent."""
+    assert core._term("a", "k", 0) == "(a2[k] * x + a1[k]) * x + a0[k]"
+    assert core._term("b", "j", 0) == "(b2[j] * x + b1[j]) * x + b0[j]"
+    xs = [0.7, -1.3, 30.0, 0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-170, -1e-170, 1e20, -1e200]
+    for shape in range(64):
+        if shape & 7 == 7:  # every a column zero: a_k = 0 is no term
+            continue
+        spec = _shaped_spec(shape)
+        table = core._rows(spec, 16)
+        assert table[0][0] == shape
+        for x in xs:
+            f = (table[5][0] * x + table[4][0]) * x + table[3][0]
+            f = f if abs(f) >= core.TINY_GUARD else core.TINY_GUARD
+
+            def outcomes(s):
+                return [_outcome(lambda: core._FOLD[s](table, x, start, start + depth, tail))
+                        for start in (0, 3) for depth in (1, 2, 9) for tail in (None, 2.5, -1e-290)] + [
+                    _outcome(lambda: core._LENTZ[s](spec, table, x, 1e-14, 12, 1, f, f, 0.0))] + [
+                    _outcome(lambda: core._FORWARD[s](table, x, depth)) for depth in (1, 2, 12)]
+
+            assert outcomes(shape) == outcomes(0), (shape, x)
+
+
+def test_kernels_are_compiled_once_per_shape():
+    """The sec-tan and x*cot(x) steps drop their zero columns; one kernel per shape, named by it."""
+    for spec, step in ((sec_tan_spec(), "(b0[j]) + (a1[k] * x + 0.0) / r"),
+                       (xcot_spec(), "(b0[j]) + ((a2[k] * x + 0.0) * x + 0.0) / r")):
+        eval_backward(spec, 0.7, 8)
+        shape = spec._table[0][0]
+        kernel = core._FOLD[shape]
+        assert f"r = ({core._term('b', 'j', shape)}) + ({core._term('a', 'k', shape)}) / r" == f"r = {step}"
+        zero = [c for c in ("a0", "a1", "a2", "b0", "b1", "b2") if f"{c}[" not in step]
+        assert kernel.__code__.co_filename == f"<cfrac.core fold kernel, zero columns: {' '.join(zero)}>"
+        eval_backward(spec, -1.3, 16)
+        assert core._FOLD[spec._table[0][0]] is kernel
+
+
 def test_table_growth_leaves_published_columns_untouched():
     """A reader holding the published columns keeps them whole while the
     table grows: growth copies into new lists and never appends in place."""
