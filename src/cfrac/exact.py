@@ -274,8 +274,9 @@ def _zigzags(n: int) -> list[int]:
 # (power, coefficient) pairs of their nonzero monomials.
 _Step = tuple[list, list]
 
-# x, -x and -x^2 as coefficient tuples, x^0 first: the levels' partial numerators
-_PLUS_X, _MINUS_X, _MINUS_XX = (0, 1), (0, -1), (0, 0, -1)
+# x, -x and -x^2 as (power, coefficient) lists: the levels' partial numerators.  The
+# levels share these lists, and nothing changes a step list in place.
+_PLUS_X, _MINUS_X, _MINUS_XX = [(1, 1)], [(1, -1)], [(2, -1)]
 
 
 def _step(b: tuple, a: tuple) -> _Step:
@@ -308,6 +309,9 @@ def _steps(cf: CfSpec, depth: int) -> list[_Step]:
 def _shift(c: tuple) -> list[_Step]:
     """The map t -> t + c, c a coefficient tuple, as the two steps c + 1/(0 + 1/t)."""
     return [_step(c, (1,)), _step((), (1,))]
+
+
+_SHIFT_MINUS_X, _SHIFT_PLUS_X = _shift((0, -1)), _shift((0, 1))  # t -> t - x and t -> t + x
 
 
 def _at(steps: list[_Step], s) -> list[_Step]:
@@ -401,18 +405,18 @@ def _agree_for_every_tail(
 
 def _paired(k: int) -> list[_Step]:
     # paired level: 4k+1 - x^2/(4k+3 - x^2/t), with t = paired_{k+1}
-    return [_step((4 * k + 1,), _MINUS_XX), _step((4 * k + 3,), _MINUS_XX)]
+    return [([(0, 4 * k + 1)], _MINUS_XX), ([(0, 4 * k + 3)], _MINUS_XX)]
 
 
 def _offset_lhs(k: int) -> list[_Step]:
     # paired level with its tail set to t + x, shifted by -x
-    return [*_shift(_MINUS_X), *_paired(k), *_shift(_PLUS_X)]
+    return [*_SHIFT_MINUS_X, *_paired(k), *_SHIFT_PLUS_X]
 
 
 def _offset_rhs(k: int) -> list[_Step]:
     # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}
-    return [_step((4 * k + 1,), _MINUS_X), _step((1,), _MINUS_X),
-            _step((4 * k + 3,), _PLUS_X), _step((1,), _PLUS_X)]
+    return [([(0, 4 * k + 1)], _MINUS_X), ([(0, 1)], _MINUS_X),
+            ([(0, 4 * k + 3)], _PLUS_X), ([(0, 1)], _PLUS_X)]
 
 
 def verify_offset_rewrite(k: int = 0) -> bool:
@@ -433,8 +437,8 @@ def _halving_lhs(k: int) -> list[_Step]:
 
 def _halving_rhs(k: int) -> list[_Step]:
     # halved level: 4k+1 - x/(2 - x/(4k+3 + x/(2 + x/t))), with t = halved_{k+1}
-    return [_step((4 * k + 1,), _MINUS_X), _step((2,), _MINUS_X),
-            _step((4 * k + 3,), _PLUS_X), _step((2,), _PLUS_X)]
+    return [([(0, 4 * k + 1)], _MINUS_X), ([(0, 2)], _MINUS_X),
+            ([(0, 4 * k + 3)], _PLUS_X), ([(0, 2)], _PLUS_X)]
 
 
 def verify_halving_rewrite(k: int = 0) -> bool:
@@ -464,7 +468,7 @@ def verify_pairing(m: int) -> bool:
 
 def _flat_level(k: int) -> list[_Step]:
     # halved level k as the sec-tan stream holds it: level 0 after the leading step (1, x)
-    return ([_step((1,), _PLUS_X)] if k == 0 else []) + _halving_rhs(k)
+    return ([([(0, 1)], _PLUS_X)] if k == 0 else []) + _halving_rhs(k)
 
 
 def verify_flattening(m: int) -> bool:
