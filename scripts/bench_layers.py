@@ -9,7 +9,9 @@ fewer; the fastest run's mean per call is reported.
 The ``convergent_exact`` rows run from depth 2 and 4, where the per-call
 overhead of the exact fold weighs most, to 60.  The ``fresh`` rows time a
 first call instead: ``convergent_exact`` on a new copy of the spec, which
-builds that copy's exact steps.  Each suite
+builds that copy's exact steps.  The ``dense`` rows run each float kernel
+on a stream with no all-zero coefficient column, so on its generic loop,
+where a kernel's per-call dispatch weighs most.  Each suite
 of ``exact.SUITES`` is timed at its default level, and each capped suite
 also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
 ``cli._parse`` rows time the argument parse alone: that of the
@@ -21,12 +23,17 @@ requests print into a discarded buffer.
 With ``--baseline OTHER_SRC`` the in-process rows are timed against that
 checkout in the same interpreter: its ``cfrac`` is loaded a second time,
 as ``cfrac_baseline``, and the two sides' calls alternate one by one, each
-going first in every other pair.  Each row then also reports the
-baseline's time, as ``<row> [baseline]``, and the median over all pairs of
-the ratio of this checkout's call time to the baseline's, as ``<row>
-[ratio]``; a ratio below 1 is a gain.  Each call is timed on its own, so
-both sides' times include one clock read.  Sharing one process lets the pairs
-resolve changes of a few percent that separate runs of this script cannot.
+going first in every other pair.  The pairs of each row are split into
+``4 * repeat`` runs, taken in rounds over all rows.  Each row then also
+reports the baseline's time, as ``<row> [baseline]``, and the median of
+the ratio of this checkout's call time to the baseline's over the fastest
+tenth of the row's pairs, as ``<row> [ratio]``; a ratio below 1 is a gain.
+Each call is timed on its own, so both sides' times include one clock
+read.  Sharing one process lets the pairs resolve changes of a few percent
+that separate runs of this script cannot.  Two things moved the ratio from
+run to run, and are kept out of it: the host's slow phases, by the fastest
+pairs (``paired_rows``), and the process's address layout, by running with
+address-space randomisation off where Linux allows it (``fixed_layout``).
 
 The ``one-shot`` rows (``ONE_SHOT``) start a new interpreter per sample,
 which times itself from before it puts SRC on ``sys.path`` to after
@@ -44,20 +51,24 @@ Usage:
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import importlib
 import importlib.util
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import time
 import timeit
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 0.2  # caps one run of a slow layer, such as `cfrac verify all`
+ADDR_NO_RANDOMIZE = 0x0040000  # personality(2) flag: no address-space randomisation
 CAPS = {"pairing": 31, "offset": 31, "halving": 15, "flatten": 15, "series": 30}  # at MAX_EXACT_DEPTH 64
 _QUIET_MAIN = ("import contextlib, io, cfrac.cli\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n    cfrac.cli.main({})")
@@ -68,9 +79,17 @@ ONE_SHOT = {  # row -> what a new interpreter runs and times
 }
 
 
+def dense_spec(cfrac):
+    """A stream with all six coefficient columns nonzero, so the kernels run their generic loops."""
+    poly, third = cfrac.poly, Fraction(1, 3)
+    return cfrac.CfSpec(name="dense", leading=poly(1, third, third), termgen=lambda k: cfrac.TermPair(
+        a=poly(Fraction(1, k + 1), (-1) ** k * third, Fraction(-1, 2 * k + 1)),
+        b=poly(2 * k + 1, Fraction(1, 2), Fraction(1, 8))))
+
+
 def layers(cfrac) -> dict:
     """Layer name -> a call of that layer, on the shared spec of each stream."""
-    xcot, flat = cfrac.xcot_spec(), cfrac.sec_tan_spec()
+    xcot, flat, dense = cfrac.xcot_spec(), cfrac.sec_tan_spec(), dense_spec(cfrac)
     calls = {
         "sec_tan(1.0)": lambda: cfrac.sec_tan(1.0),
         "eval_adaptive(sec-tan, 1.0)": lambda: cfrac.eval_adaptive(flat, 1.0, 1e-12),
@@ -84,6 +103,10 @@ def layers(cfrac) -> dict:
     calls["eval_forward(sec-tan, 1.0, 32)"] = lambda: cfrac.eval_forward(flat, 1.0, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
+    # one row per kernel on a stream with no zero column
+    calls["eval_backward(dense, 0.7, 32)"] = lambda: cfrac.eval_backward(dense, 0.7, 32)
+    calls["eval_forward(dense, 0.7, 32)"] = lambda: cfrac.eval_forward(dense, 0.7, 32)
+    calls["eval_lentz(dense, 0.7)"] = lambda: cfrac.eval_lentz(dense, 0.7, 1e-12, 4096)
     exact = cfrac.exact
     for spec, depth in ((flat, 2), (xcot, 4)):  # the shallowest, where per-call overhead shows first
         calls[f"convergent_exact({spec.name}, {depth})"] = (
@@ -164,15 +187,22 @@ def best_rows(calls: dict, repeat: int, number: int) -> dict:
 
 
 def paired_rows(calls: dict, base_calls: dict, repeat: int, number: int) -> dict:
-    """``best_rows`` of both sides, their calls alternating, and the median ratio of the pairs."""
-    clock, times = time.perf_counter, {}
+    """Both sides' calls alternating: each side's fastest run's mean, and each row's ratio.
+
+    A row's pairs are split into ``4 * repeat`` runs, taken in rounds over all
+    rows, so that each row's pairs are spread over the whole session.  The host
+    runs in phases, and in a slow one a call that allocates slows down more
+    than one that only computes, so a row's ratio is the median over the
+    fastest tenth of its pairs (by the time of both calls together).
+    """
+    clock, rows = time.perf_counter, {}
     for name, call in calls.items():
         sides = (call, base_calls[name])
         for side in sides:
             side()
-        n = min(number, _calls_per_run(call))
-        runs, ratios = [], []
-        for _ in range(repeat):
+        rows[name] = (sides, max(1, min(number, _calls_per_run(call)) // 4), [], [])
+    for _ in range(4 * repeat):
+        for sides, n, runs, pairs in rows.values():
             spent = [0.0, 0.0]
             for i in range(n):
                 took = [0.0, 0.0]
@@ -181,12 +211,31 @@ def paired_rows(calls: dict, base_calls: dict, repeat: int, number: int) -> dict
                     sides[s]()
                     took[s] = clock() - t0
                 spent = [a + b for a, b in zip(spent, took)]
-                ratios.append(took[0] / took[1])
+                pairs.append((took[0] + took[1], took[0] / took[1]))
             runs.append(spent)
+    times = {}
+    for name, (_, n, runs, pairs) in rows.items():
         for s, label in enumerate(("", " [baseline]")):
             times[name + label] = round(min(run[s] for run in runs) / n * 1e6, 3)
-        times[f"{name} [ratio]"] = round(statistics.median(ratios), 4)
+        fastest = sorted(pairs)[: max(1, len(pairs) // 10)]
+        times[f"{name} [ratio]"] = round(statistics.median(ratio for _, ratio in fastest), 4)
     return times
+
+
+def fixed_layout() -> None:
+    """Run this script again with address-space randomisation off, on Linux where allowed.
+
+    Which addresses a process's objects get moves a pair's ratio: ``eval_forward``
+    against an older checkout read 0.52, 0.53 and 0.59 in three processes, and
+    0.65-0.67 in each of seven with randomisation off.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    persona = libc.personality(0xFFFFFFFF)  # the current value, unchanged
+    if persona == -1 or persona & ADDR_NO_RANDOMIZE or libc.personality(persona | ADDR_NO_RANDOMIZE) == -1:
+        return
+    os.execv(sys.executable, sys.orig_argv)
 
 
 def _quiet(main, argv: list[str]) -> int:
@@ -201,6 +250,8 @@ def main() -> None:
     parser.add_argument("--number", type=int, default=2000)
     parser.add_argument("--baseline", help="a second checkout's src directory to compare against")
     args = parser.parse_args()
+    if args.baseline:
+        fixed_layout()
 
     srcs = {"": Path(args.src).resolve()}
     if args.baseline:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "eval_lentz(dense, 0.7)")
 
 
 @pytest.mark.parametrize(
@@ -40,10 +41,11 @@ def test_study_script_runs(script, args):
             "cli._parse(eval sec-tan --x 1 --meth adaptive)",  # argparse's
             "one-shot import cfrac",  # new interpreters
             "one-shot cli.main(eval sec-tan --x 1)",
+            *DENSE_ROWS,  # each kernel on its generic loop
         } <= set(times)
         assert all(t > 0 for t in times.values())
         if "--baseline" in args:  # each row also timed in the baseline, with the pairs' ratio
             row = "eval_forward(sec-tan, 1.0, 32)"
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
-                    "one-shot import cfrac [baseline]"} <= set(times)
+                    "one-shot import cfrac [baseline]", *(f"{row} [ratio]" for row in DENSE_ROWS)} <= set(times)
 
