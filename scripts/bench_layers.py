@@ -225,15 +225,18 @@ def paired_rows(calls: dict, base_calls: dict, repeat: int, number: int) -> dict
 def fixed_layout() -> None:
     """Run this script again with address-space randomisation off, on Linux where allowed.
 
-    Which addresses a process's objects get moves a pair's ratio: ``eval_forward``
-    against an older checkout read 0.52, 0.53 and 0.59 in three processes, and
-    0.65-0.67 in each of seven with randomisation off.
+    Which addresses a process's objects get moves a pair's ratio: on a shared
+    2-vCPU host, ``eval_forward`` against an older checkout read 0.52, 0.53 and
+    0.60 in three processes, and 0.65-0.68 in each of seven with randomisation
+    off.  A code change moves the layout too, so one row can still read a few
+    percent off its mean over layouts.
     """
     if not sys.platform.startswith("linux"):
         return
-    libc = ctypes.CDLL(None)
-    persona = libc.personality(0xFFFFFFFF)  # the current value, unchanged
-    if persona == -1 or persona & ADDR_NO_RANDOMIZE or libc.personality(persona | ADDR_NO_RANDOMIZE) == -1:
+    personality = ctypes.CDLL(None).personality
+    personality.argtypes, personality.restype = [ctypes.c_ulong], ctypes.c_int
+    persona = personality(0xFFFFFFFF)  # the current value, unchanged
+    if persona == -1 or persona & ADDR_NO_RANDOMIZE or personality(persona | ADDR_NO_RANDOMIZE) == -1:
         return
     os.execv(sys.executable, sys.orig_argv)
 

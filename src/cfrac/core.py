@@ -45,7 +45,6 @@ loop, goes on in the loop compiled for the grown table's shape.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Union
@@ -242,13 +241,11 @@ def _kernels(name: str, template: str) -> list:
     kernels = []
 
     def compiled(shape: int):
-        def fill(match):
-            key = match[1]
-            return str(shape) if key == "shape" else _term(key[0], key[2], shape)
-
+        source = template.replace("$shape", str(shape))
+        for term in ("a_j", "a_k", "a_n", "b_j", "b_k", "b_n"):
+            source = source.replace(f"${term}", _term(term[0], term[2], shape))
         zero = " ".join(column for bit, column in enumerate(_COLUMNS) if shape >> bit & 1)
-        code = compile(re.sub(r"\$(\w+)", fill, template),
-                       f"<cfrac.core {name} kernel, zero columns: {zero or 'none'}>", "exec")
+        code = compile(source, f"<cfrac.core {name} kernel, zero columns: {zero or 'none'}>", "exec")
         namespace: dict = {}
         exec(code, globals(), namespace)
         return namespace[name]
