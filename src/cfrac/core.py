@@ -194,7 +194,9 @@ def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
 
     Row 0 holds ``leading`` as b and, in column a0, where no term lives, the
     table's shape: bit i set when column i of ``_COLUMNS`` is all zero over the
-    rows of its terms (from 1 for a, from 0 for b).
+    rows of its terms (from 1 for a, from 0 for b).  So the shape is published
+    with the columns in one assignment, and the table stays a plain tuple,
+    which a kernel unpacks faster than any subclass of it.
     """
     table = cf._table
     rows = len(table[0])
@@ -216,8 +218,9 @@ def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
 
 def _term(c: str, i: str, shape: int) -> str:
     """Source of c_i(x) by float Horner, (c2[i] * x + c1[i]) * x + c0[i] for c "a" or "b",
-    with each column that ``shape`` marks all zero written as 0.0 and a leading 0.0
-    dropped: the same bits for a finite x."""
+    with each column that ``shape`` marks all zero written as 0.0, and a leading one
+    dropped.  Both keep the generic form's bits for a finite x: 0.0*x + v == v, and
+    a later ``+ 0.0`` turns a -0.0 into 0.0 as adding the column's 0.0 does."""
     expr = ""
     for power in (2, 1, 0):
         column = f"{c}{power}"
