@@ -479,7 +479,8 @@ def test_shared_table_under_concurrent_growth_of_a_changing_shape():
 def _shaped_spec(shape: int) -> CfSpec:
     """A stream whose columns that ``shape`` marks are all zero, and every other entry nonzero."""
     def terms(k, bits):
-        return poly(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2) for i in range(3)))
+        return poly(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2)
+                      for i in range(3)))
 
     return CfSpec(name=f"shape {shape}", leading=terms(0, shape >> 3),
                   termgen=lambda k: TermPair(a=terms(k, shape), b=terms(k, shape >> 3)))
@@ -492,7 +493,9 @@ def _outcome(thunk):
         return type(err).__name__
     if isinstance(result, list):
         return [v.hex() for v in result]
-    return result.hex() if isinstance(result, float) else (result.value.hex(), result.depth, result.est_rel_err.hex())
+    if isinstance(result, float):
+        return result.hex()
+    return result.value.hex(), result.depth, result.est_rel_err.hex()
 
 
 def test_every_shape_gives_the_bits_of_the_generic_kernel():

@@ -9,10 +9,10 @@ before they became folds over one term stream, so this test is what holds
 the folds to the same bits.  The ``EXTREME`` rows, where x*x or a term
 overflows or underflows, were written by the kernels as they were before
 their per-step guards became comparisons on locals.  The ``dense`` and
-``mixed`` user streams, with every coefficient column nonzero and with
-a_k = c*x^2 over b_k affine in x, were added before the kernels were compiled
-per set of zero columns, so they hold shapes the paper's two streams lack
-to the bits of the generic Horner form.
+``mixed`` user streams (every coefficient column nonzero; a_k = c*x^2 over
+b_k affine in x) pin shapes the paper's two streams lack; their rows were
+written by the generic Horner loops, before each kernel was compiled per
+set of all-zero coefficient columns.
 
 Regenerate the table only for a deliberate change of values:
 

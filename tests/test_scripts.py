@@ -47,5 +47,6 @@ def test_study_script_runs(script, args):
         if "--baseline" in args:  # each row also timed in the baseline, with the pairs' ratio
             row = "eval_forward(sec-tan, 1.0, 32)"
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
-                    "one-shot import cfrac [baseline]", *(f"{row} [ratio]" for row in DENSE_ROWS)} <= set(times)
+                    "one-shot import cfrac [baseline]",
+                    *(f"{dense} [ratio]" for dense in DENSE_ROWS)} <= set(times)
 
