@@ -17,8 +17,11 @@ also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
 ``cli._parse`` rows time the argument parse alone: that of the
 ``cli.main(eval ...)`` row, so the two split a request into parse and
 handler, and one with an abbreviated option, which the option table
-leaves to argparse, so both parse paths are timed.  The CLI
-requests print into a discarded buffer.
+leaves to argparse, so both parse paths are timed.  The other
+``cli.main`` rows are whole requests: a csv record at a rational ``--x``,
+a text table of convergents and one of terms, ``verify all``, ``series``,
+and a usage error (``--x abc``).  The CLI requests print into discarded
+buffers.
 
 With ``--baseline OTHER_SRC`` the in-process rows are timed against that
 checkout in the same interpreter: its ``cfrac`` is loaded a second time,
@@ -132,7 +135,15 @@ def layers(cfrac) -> dict:
     plain = ["eval", "sec-tan", "--x", "1"]  # the option table parses it; an abbreviation it does not
     for argv in (plain, [*plain, "--meth", "adaptive"]):
         calls[f"cli._parse({' '.join(argv)})"] = lambda argv=argv: parse(argv)
-    for argv in (["eval", "sec-tan", "--x", "1"], ["verify", "all"], ["series", "--order", "100"]):
+    for argv in (
+        ["eval", "sec-tan", "--x", "1"],
+        ["eval", "xcot", "--x=-17/8", "--method", "forward", "--format", "csv"],
+        ["convergents", "sec-tan", "--x=0.7", "--depth", "24"],
+        ["terms", "xcot", "--count", "16"],
+        ["eval", "sec-tan", "--x", "abc"],  # a usage error
+        ["verify", "all"],
+        ["series", "--order", "100"],
+    ):
         calls[f"cli.main({' '.join(argv)})"] = lambda argv=argv: _quiet(cli.main, argv)
     return calls
 
@@ -242,7 +253,7 @@ def fixed_layout() -> None:
 
 
 def _quiet(main, argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
 

@@ -27,10 +27,16 @@ an empty argv, ``-h``, an unknown command, an option before the command,
 and to word the "unrecognized arguments" error.  Handlers are looked up by name on every
 call, so a patched ``_cmd_*`` function runs.
 
-Depth flags (``eval --depth``, ``convergents --depth``, ``study
---max-depth``) stop at ``DEFAULT_MAX_DEPTH``, and a decimal ``--x`` with an
-exponent beyond 5000 is refused before ``Fraction`` builds the power of
-ten.
+``--x`` is read to the float every handler evaluates at,
+``float(Fraction(text))``: a plain ASCII decimal by ``float(text)`` and a
+plain ASCII ``p/q`` by ``int(p) / int(q)``, each correctly rounded as
+``Fraction`` is, and any other text, or a quick result of zero or inf,
+through ``Fraction``, which refuses a value that overflows or underflows and,
+before it builds the power of ten, a decimal exponent beyond 5000.  Depth
+flags (``eval --depth``, ``convergents --depth``, ``study --max-depth``)
+stop at ``DEFAULT_MAX_DEPTH``.  Each response is written at once: one
+``print``, or one ``writerows`` in csv.  An eval value or error estimate,
+or a convergent, that is nan or infinite is a numeric failure.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
 a denominator underflow), 3 verification failure.
@@ -40,11 +46,12 @@ from __future__ import annotations
 
 import argparse
 import re
+import shutil
 import sys
 from fractions import Fraction
 from functools import cache
 from gettext import gettext as _
-from math import factorial
+from math import factorial, inf, isfinite
 from typing import NamedTuple
 
 from .core import (
@@ -74,6 +81,8 @@ _PACKAGE = sys.modules[__package__]  # its exact attribute imports cfrac.exact a
 # Fraction would first build 10**exponent.
 _MAX_EXPONENT = 5000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# the shapes Fraction reads alike on every Python: ASCII digits, no space or _, q > 0
+_PLAIN_X = re.compile(r"[-+]?(?:\d+/\d*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
 
 
 class UsageError(Exception):
@@ -82,16 +91,26 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        usages = self.__dict__.setdefault("_usages", {})  # the usage line per terminal width,
+        width = shutil.get_terminal_size().columns  # which argparse reads to wrap it
+        if width not in usages:
+            usages[width] = self.format_usage()
+        raise UsageError(f"{usages[width]}{self.prog}: error: {message}")
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _fraction_arg(text: str) -> float:
+    if len(text) < 50 and _PLAIN_X.fullmatch(text):  # short: no int digit limit, int / int in range
+        p, slash, q = text.partition("/")
+        value = int(p) / int(q) if slash else float(text)
+        if 0 < abs(value) < inf:  # Fraction reads a zero, and refuses an overflow or underflow
+            return value
     try:
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
-        value = Fraction(text)
-        if float(value) == 0 != value:  # every command evaluates at float(x): no overflow or underflow
+        fraction = Fraction(text)
+        value = float(fraction)
+        if value == 0 != fraction:  # every command evaluates at float(x): no overflow or underflow
             raise ValueError("underflows to 0.0")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a p/q or decimal in float range: {text!r}") from exc
@@ -127,12 +146,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+_CELLS = {bool: lambda value: "pass" if value else "fail", float: float.__repr__}
+
+
 def _render_cell(value) -> str:
-    if isinstance(value, bool):
-        return "pass" if value else "fail"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return _CELLS.get(type(value), str)(value)
 
 
 def _emit_record(record: dict, fmt: str) -> None:
@@ -142,29 +160,22 @@ def _emit_record(record: dict, fmt: str) -> None:
     elif fmt == "csv":
         _emit_table([record], list(record), fmt)
     else:
-        width = max(len(key) for key in record)
-        for key, value in record.items():
-            print(f"{key.ljust(width)}  {_render_cell(value)}")
+        width = max(map(len, record))
+        print("\n".join(f"{key.ljust(width)}  {_render_cell(value)}" for key, value in record.items()))
 
 
 def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> None:
     if fmt == "json":
         import json
         print(json.dumps(rows, indent=2))
-    elif fmt == "csv":
+        return
+    lines = [fields, *([_render_cell(row[f]) for f in fields] for row in rows)]
+    if fmt == "csv":
         import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_render_cell(row[f]) for f in fields])
+        csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
     else:
-        cells = [[_render_cell(row[f]) for f in fields] for row in rows]
-        widths = [
-            max([len(f)] + [len(row[i]) for row in cells]) for i, f in enumerate(fields)
-        ]
-        print("  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip())
-        for row in cells:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        print("\n".join("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() for line in lines))
 
 
 def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
@@ -190,17 +201,21 @@ def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
 
 
 def _cmd_eval(args) -> int:
-    x = float(args.x)
+    x = args.x
     cot = args.function == "cot"
     if cot and abs(x) < POLE_THRESHOLD:
         raise DivisionNearZero(f"cot(x) is xcot(x)/x and needs |x| >= {POLE_THRESHOLD!r}; got x = {x!r}")
     report = _evaluate(_SPECS["xcot" if cot else args.function](), x, args)
+    value, est_rel_err = report.value / x if cot else report.value, report.est_rel_err
+    if not (isfinite(value) and isfinite(est_rel_err)):
+        raise NoConvergence(f"{report.method} at depth {report.depth} gave value {value!r}, "
+                            f"est_rel_err {est_rel_err!r} (x={x!r})")
     record = {
         "function": args.function,
         "x": x,
-        "value": report.value / x if cot else report.value,
+        "value": value,
         "depth": report.depth,
-        "est_rel_err": report.est_rel_err,
+        "est_rel_err": est_rel_err,
         "method": report.method,
     }
     _emit_record(record, args.format)
@@ -208,11 +223,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    x = float(args.x)
+    x = args.x
     spec = _SPECS[args.function]()
     previous = _fold(spec, x, 0, 0)  # b0(x)
     rows = []
     for n, value in enumerate(eval_forward(spec, x, args.depth), start=1):
+        if not isfinite(value):
+            raise NoConvergence(f"convergent {n} is {value!r} (x={x!r})")
         rows.append({"n": n, "value": value, "delta": abs(value - previous)})
         previous = value
     _emit_table(rows, ["n", "value", "delta"], args.format)
@@ -252,7 +269,7 @@ def _cmd_terms(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    x = float(args.x)
+    x = args.x
     spec = _SPECS[args.function]()
     reference = eval_adaptive(spec, x, 1e-14).value
     rows = []
@@ -392,24 +409,27 @@ class _OptionTable(NamedTuple):
     """A subcommand's single-value actions, enough to parse a plain request without argparse.
 
     ``options`` maps the option strings of each single-value store action
-    to it, ``positionals`` lists the positional actions in order and
-    ``actions`` every action with a dest, in the parser's order.  Any
-    other option (here only ``-h``) is unknown to the table.
+    to it, ``positionals`` lists the positional actions in order,
+    ``defaults`` maps the dest of each action with a default to it, as
+    argparse fills them, and ``required`` holds the dests a request must
+    give.  Any other option (here only ``-h``) is unknown to the table.
     """
 
     options: dict[str, argparse.Action]
     positionals: tuple[argparse.Action, ...]
-    actions: tuple[argparse.Action, ...]
+    defaults: dict[str, object]
+    required: frozenset[str]
 
     @classmethod
     def of(cls, parser: argparse.ArgumentParser) -> _OptionTable:
         """The table of ``parser``, whose positionals each take one value."""
-        actions = parser._actions
+        actions, suppress = parser._actions, argparse.SUPPRESS
         single = [a for a in actions if type(a) is argparse._StoreAction and a.nargs is None]
         return cls(
             {option: action for action in single for option in action.option_strings},
             tuple(a for a in actions if not a.option_strings),
-            tuple(a for a in actions if a.dest is not argparse.SUPPRESS),
+            {a.dest: a.default for a in actions if a.dest is not suppress and a.default is not suppress},
+            frozenset(a.dest for a in actions if a.required),
         )
 
     def parse(self, tokens: list[str]) -> argparse.Namespace | None:
@@ -440,20 +460,13 @@ class _OptionTable(NamedTuple):
                 value = text if action.type is None else action.type(text)
                 if action.choices is not None and value not in action.choices:
                     return None
-                seen[action] = value
-            args = argparse.Namespace()
-            values = vars(args)  # filled directly: Namespace(**values) costs a setattr each
-            for action in self.actions:
-                if action in seen:
-                    values[action.dest] = seen[action]
-                elif action.required:
-                    return None
-                elif action.default is argparse.SUPPRESS:
-                    continue
-                else:
-                    values[action.dest] = action.default
+                seen[action.dest] = value
         except (KeyError, StopIteration, argparse.ArgumentTypeError, TypeError, ValueError):
             return None
+        if not seen.keys() >= self.required:
+            return None
+        args = argparse.Namespace()
+        vars(args).update(self.defaults, **seen)  # filled directly: Namespace(**values) costs a setattr each
         return args
 
 

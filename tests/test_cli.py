@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cfrac import DEFAULT_MAX_DEPTH, CfSpec, cli, exact, xcot_spec
+from cfrac import DEFAULT_MAX_DEPTH, CfSpec, cli, eval_backward, exact, xcot_spec
 from cfrac.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -706,7 +707,82 @@ def test_huge_decimal_exponent_is_refused_at_once(x_text):
 
 
 def test_decimal_exponent_up_to_the_bound_still_parses(capsys):
-    assert cli._fraction_arg("0e-5000") == 0  # a nonzero text with exponent -5000 underflows
-    assert cli._fraction_arg("0." + "0" * 4000 + "1e4300") == Fraction(10**299)
+    assert cli._fraction_arg("0e-5000") == 0.0  # a nonzero text with exponent -5000 underflows
+    assert cli._fraction_arg("0." + "0" * 4000 + "1e4300") == float(Fraction(10**299))
     code, out, err = run(capsys, "eval", "sec-tan", "--x=1e5000")
     assert code == 1 and "float range" in err
+
+
+def _x_reference(text):
+    """float(Fraction(text)), or None where --x refuses text: Fraction refuses it, or it
+    overflows or underflows a float."""
+    try:
+        fraction = Fraction(text)
+        value = float(fraction)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return None if value == 0 != fraction else value
+
+
+def _x_corpus():
+    """The texts whose float and Fraction readings part, then seeded random decimals and p/q,
+    some longer than the quick path takes."""
+    rng = random.Random(22)
+
+    def digits(low, high):
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(low, high)))
+
+    texts = ["3/-7", "3 /7", "3/ 7", " 3/7 ", "1_0/3", "١٢/٣", "-0", "-0.0", "0/5", "-0/5", "1.", ".5",
+             "1e5_0", "1e-400", "1e400", "nan", "inf", "-inf", "1" * 5000, "0." + "0" * 5000 + "1e5000",
+             "+3/7", "3/0", "3/00", "0/0", "1/3\n", "1e", "e5", ".", "1..5", "0x10", "",
+             "2.4e-324", "2.5e-324", "4.9e-324", "1e-320", "1.7976931348623157e308",
+             "1.7976931348623159e308", f"{10**48}/3", f"3/{10**48}", "9" * 49, "9" * 49 + "/7"]
+    for _ in range(3000):
+        sign = rng.choice(("", "-", "+"))
+        if rng.random() < 0.5:
+            texts.append(f"{sign}{digits(1, 30)}/{digits(1, 30)}")
+        else:
+            whole, point, part = digits(0, 25), rng.choice(("", ".")), digits(0, 25)
+            exponent = rng.choice(("", f"e{rng.randint(-340, 340)}", f"E+{rng.randint(0, 330)}"))
+            texts.append(f"{sign}{whole or (point and '0')}{point}{part if point else ''}{exponent}")
+    return texts
+
+
+def test_x_is_read_as_the_float_of_its_fraction():
+    for text in _x_corpus():
+        expected = _x_reference(text)
+        if expected is None:
+            with pytest.raises(argparse.ArgumentTypeError, match="float range"):
+                cli._fraction_arg(text)
+        else:
+            assert cli._fraction_arg(text).hex() == expected.hex(), text  # hex: -0.0 is not 0.0
+
+
+def test_plain_x_is_read_without_fraction(monkeypatch):
+    monkeypatch.setattr(cli, "Fraction", None)  # a call would fail
+    assert [cli._fraction_arg(t) for t in ("0.7", "-17/8", "+.5e1", "12/003", "1.")] == [0.7, -2.125, 5.0, 4.0, 1.0]
+
+
+def test_usage_line_follows_the_terminal_width(capsys, monkeypatch):
+    usages = []
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run(capsys, "eval", "sec-tan", "--x", "abc")
+        usage = cli._command("eval").format_usage()
+        assert (code, out) == (1, "")
+        assert err == f"{usage}cfrac eval: error: argument --x: not a p/q or decimal in float range: 'abc'\n"
+        usages.append(usage)
+    assert usages[0] == usages[2] != usages[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "xcot", "--x", "1e200", "--method", "backward"],
+    ["eval", "cot", "--x=1e200", "--method", "forward", "--format", "json"],
+    ["convergents", "xcot", "--x=1e160", "--depth", "3", "--format", "csv"],
+    ["convergents", "sec-tan", "--x", "1e300", "--depth", "4"],  # convergent 3 is inf
+])
+def test_a_result_that_is_not_finite_is_a_numeric_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NoConvergence: ") and ("nan" in err or "inf" in err)
+    assert math.isnan(eval_backward(xcot_spec(), 1e200, 32))  # the library value is left as it is

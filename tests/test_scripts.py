@@ -10,6 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "eval_lentz(dense, 0.7)")
+CLI_ROWS = (  # whole requests: a csv record, two text tables and a usage error
+    "cli.main(eval xcot --x=-17/8 --method forward --format csv)",
+    "cli.main(convergents sec-tan --x=0.7 --depth 24)",
+    "cli.main(terms xcot --count 16)",
+    "cli.main(eval sec-tan --x abc)",
+)
 
 
 @pytest.mark.parametrize(
@@ -42,11 +48,12 @@ def test_study_script_runs(script, args):
             "one-shot import cfrac",  # new interpreters
             "one-shot cli.main(eval sec-tan --x 1)",
             *DENSE_ROWS,  # each kernel on its generic loop
+            *CLI_ROWS,
         } <= set(times)
         assert all(t > 0 for t in times.values())
         if "--baseline" in args:  # each row also timed in the baseline, with the pairs' ratio
             row = "eval_forward(sec-tan, 1.0, 32)"
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
                     "one-shot import cfrac [baseline]",
-                    *(f"{dense} [ratio]" for dense in DENSE_ROWS)} <= set(times)
+                    *(f"{row} [ratio]" for row in DENSE_ROWS + CLI_ROWS)} <= set(times)
 
