@@ -8,7 +8,9 @@ invalid shapes, the texts the ``--x`` parser must read as ``Fraction``
 does, help, requests the option table leaves to argparse, and the points
 where an evaluator's result is not finite.  The pin was written by the
 CLI as it was before ``--x`` was read straight to a float and each
-response written at once, so this test holds the rewrite to the same bytes.
+response written at once, so this test holds that rewrite to the same
+bytes; only the rows whose result is not finite were written again, when
+such a result became a numeric failure (exit 2).
 
 argparse words the help and the usage errors, and its wording may move
 between Python versions: those requests are compared byte for byte on the
