@@ -7,14 +7,18 @@ which fills its term table, then ``--repeat`` runs of ``--number`` calls,
 or of as many calls as one timed call says fit in about 0.2 s if that is
 fewer; the fastest run's mean per call is reported.
 The ``convergent_exact`` rows run from depth 2 and 4, where the per-call
-overhead of the exact fold weighs most, to 60.  The ``fresh`` rows time a
-first call instead: ``convergent_exact`` on a new copy of the spec, which
-builds that copy's exact steps.  The ``dense`` rows run each float kernel
-on a stream with no all-zero coefficient column, so on its generic loop,
-where a kernel's per-call dispatch weighs most.  Each suite
-of ``exact.SUITES`` is timed at its default level, and each capped suite
-also at the deepest level ``exact.check_level`` accepts (``CAPS``).  The
-``cli._parse`` rows time the argument parse alone: that of the
+overhead of the exact fold weighs most, to 60.  The ``series_from_ratfunc``
+rows take depth 12 at the order exact-deep checks for it, where that
+workload's median case lies, and sec-tan 60 and xcot 33 at orders 60 and
+67; the ``exact-deep op`` row is one whole case, convergent and series.
+The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
+new copy of the spec, which builds that copy's exact steps.  The ``dense``
+rows run each float kernel on a stream with no all-zero coefficient column,
+so on its generic loop, where a kernel's per-call dispatch weighs most.
+Each suite of ``exact.SUITES`` is timed at its default level, and each
+capped suite also at the deepest level ``exact.check_level`` accepts
+(``CAPS``).
+The ``cli._parse`` rows time the argument parse alone: that of the
 ``cli.main(eval ...)`` row, so the two split a request into parse and
 handler, and one with an abbreviated option, which the option table
 leaves to argparse, so both parse paths are timed.  The other
@@ -119,6 +123,13 @@ def layers(cfrac) -> dict:
         # cold: a fresh copy of the spec, whose first call builds its exact steps
         calls[f"convergent_exact(fresh {spec.name}, 12)"] = (
             lambda s=spec: exact.convergent_exact(dataclasses.replace(s), 12))
+    for spec, order in ((flat, 12), (xcot, 25)):  # depth 12 at exact-deep's order for it
+        f = exact.convergent_exact(spec, 12)
+        calls[f"series_from_ratfunc({spec.name} 12, {order})"] = (
+            lambda f=f, o=order: exact.series_from_ratfunc(f, o))
+    # one whole exact-deep op: the convergent, then its series
+    calls["exact-deep op(sec-tan 12, 12)"] = (
+        lambda: exact.series_from_ratfunc(exact.convergent_exact(flat, 12), 12))
     for spec, depth, order in ((flat, 60, 60), (xcot, 33, 67)):
         f = exact.convergent_exact(spec, depth)  # built outside the timed series call
         calls[f"convergent_exact({spec.name}, {depth})"] = (

@@ -73,6 +73,7 @@ from .expansions import sec_tan_spec, xcot_spec
 DEFAULT_REL_ERR = 1e-12
 DEFAULT_FIXED_DEPTH = 32
 DEFAULT_MAX_TERMS = 4096
+MAX_SERIES_ORDER = 1000  # 4.5 MB of text; at order 1600 a coefficient passes int's 4300-digit str limit
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
 _PACKAGE = sys.modules[__package__]  # its exact attribute imports cfrac.exact at first use
@@ -132,8 +133,9 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-# a depth flag stops where eval_adaptive and sec_tan stop
+# a depth flag stops where eval_adaptive and sec_tan stop; --order is refused before any triangle
 _depth_arg, _nonneg_int = _int_at_least(1, DEFAULT_MAX_DEPTH), _int_at_least(0)
+_order_arg = _int_at_least(0, MAX_SERIES_ORDER)
 
 
 def _positive_float(text: str) -> float:
@@ -330,7 +332,8 @@ def _convergents_options(p: argparse.ArgumentParser) -> None:
 
 
 def _series_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=_nonneg_int, default=12, help="highest order to print (default 12)")
+    order_help = f"highest order to print (default 12, at most {MAX_SERIES_ORDER})"
+    p.add_argument("--order", type=_order_arg, default=12, help=order_help)
     _add_format_flag(p)
 
 

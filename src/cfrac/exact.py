@@ -37,11 +37,11 @@ M < 2^(w-1) each coefficient is one balanced w-bit digit, so distinct
 polynomials have distinct values.  Fraction coefficients are cleared by
 one common denominator, which is divided out once.
 
-Every check is a decision with zero tolerance, never a sample.  A
-coefficient is an ``int`` when integral and a ``Fraction`` otherwise, never
-a float.  ``Poly`` and ``RatFunc`` are deliberately minimal (univariate,
-dense, never reduced): they are the results of ``convergent_exact`` and the
-input of ``series_from_ratfunc``, and the four algebraic suites build none.
+Every check is a decision with zero tolerance, never a sample.  A coefficient
+is an ``int`` when integral and a ``Fraction`` otherwise, never a float.
+``Poly`` and ``RatFunc`` (univariate, dense, never reduced) are the results of
+``convergent_exact`` and the input of ``series_from_ratfunc``, long division on
+ints that builds each coefficient once; the four algebraic suites build none.
 """
 
 from __future__ import annotations
@@ -150,6 +150,13 @@ _ZERO = Fraction(0)
 _P_ONE = Poly([1])
 
 
+def _coprime(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without the constructor's gcd."""
+    c = object.__new__(Fraction)  # what Fraction._from_coprime_ints (3.12+) does
+    c._numerator, c._denominator = n, d
+    return c
+
+
 class RatFunc:
     """Quotient num/den of two Polys with a nonzero denominator, kept as built.
 
@@ -210,10 +217,10 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
 
     Exact: f(x) = sum(c_i x^i) + O(x^(order+1)).  The power of x that
     divides both numerator and denominator is cancelled first; PoleAtOrigin
-    is raised when the denominator still vanishes at 0.  The division keeps
-    one running common denominator of the coefficients found so far, in
-    y = x^2 for an even function (den nonconstant, no odd power of x in num
-    or den, as for x*cot(x)), whose odd orders are then 0.
+    is raised when the denominator still vanishes at 0.  The division runs on
+    ints (Fraction inputs times the lcm of their denominators), in y = x^2 for
+    an even function (den nonconstant, no odd power of x in num or den, as
+    for x*cot(x)), whose odd orders are then 0.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -224,13 +231,15 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
         raise PoleAtOrigin("denominator vanishes at x = 0")
     step = 2 if len(den) > 1 and not any(num[1::2]) and not any(den[1::2]) else 1
     num, den = num[::step], den[::step]  # for an even function, coefficients in y = x^2
-    # c_i = (num_i - sum_j den_j * c_(i-j)) / den_0, summed over the nonzero
-    # taps den_j: m is the lcm of the denominators of c_0..c_(i-1) and
-    # w[k] = c_k * m is an int, so for int num and den the sum is all ints.
-    # The Fraction constructor reduces each c_i once; a new factor of m
-    # rescales the last deg(den) w, the only ones read again.
-    taps = [(j, dj) for j, dj in enumerate(den) if j and dj]
-    deg = len(den) - 1
+    s = 1 if den[0] > 0 else -1
+    if Fraction in map(type, num + den):
+        s *= math.lcm(*(c.denominator for c in num + den))
+    if s != 1:  # the same f as num*s / den*s: int coefficients and den_0 > 0
+        num, den = [int(c * s) for c in num], [int(c * s) for c in den]
+    # c_i = (num_i - sum_j den_j * c_(i-j)) / d0 over the nonzero taps den_j.  With m the lcm of
+    # c_0..c_(i-1)'s denominators and w[k] = c_k * m, acc = c_i * m * d0 is an int, the new m is
+    # m * d0/g for g = gcd(acc, d0), and w_i = acc/g; a new factor of m rescales the last deg(den) w.
+    d0, deg, taps = den[0], len(den) - 1, [(j, dj) for j, dj in enumerate(den) if j and dj]
     m, w, out = 1, [], []
     for i in range(order // step + 1):
         acc = (num[i] if i < len(num) else 0) * m
@@ -238,15 +247,15 @@ def series_from_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
             if j > i:
                 break
             acc -= dj * w[i - j]
-        c = Fraction(acc, m * den[0])  # reduced, with a positive denominator
-        out.append(c)
-        q = c.denominator
-        new = q // math.gcd(m, q)
-        if new != 1:
-            m *= new
+        g = math.gcd(acc, d0)
+        if g != d0:
+            t = d0 // g
+            m *= t
             for k in range(max(i - deg + 1, 0), i):
-                w[k] *= new
-        w.append(c.numerator * (m // q))
+                w[k] *= t
+        w.append(acc // g)
+        r = math.gcd(w[i], m)
+        out.append(_coprime(w[i] // r, m // r))
     return out if step == 1 else [c for c_y in out for c in (c_y, _ZERO)][: order + 1]
 
 

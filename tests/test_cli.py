@@ -226,6 +226,18 @@ def test_series_builds_the_zigzag_triangle_once(capsys, monkeypatch):
     assert out.splitlines()[-1] == f"30,{z30},{Fraction(z30, math.factorial(30))}"
 
 
+def test_series_order_past_the_cap_is_refused_before_the_triangle(capsys, monkeypatch):
+    calls = []
+    original = exact._zigzags
+    monkeypatch.setattr(exact, "_zigzags", lambda n: calls.append(n) or original(n))
+    for order in ("1001", "1600", str(10**6)):
+        code, out, err = run(capsys, "series", "--order", order)
+        assert code == 1 and out == "" and f"must be <= {cli.MAX_SERIES_ORDER}" in err
+    assert calls == []
+    code, out, _ = run(capsys, "series", "--order", str(cli.MAX_SERIES_ORDER), "--format", "csv")
+    assert code == 0 and calls == [1000] and out.splitlines()[-1].startswith("1000,")
+
+
 def test_terms_xcot(capsys):
     code, out, _ = run(capsys, "terms", "xcot", "--count", "3", "--format", "csv")
     assert code == 0
@@ -537,6 +549,7 @@ TYPE_SAMPLES = {
                         "1e400", "1e-5001", "1e5001", "abc", "1/0", "nan", "0x10"],
     cli._depth_arg: ["1", "4096", "0", "4097", "-1", "1.5", "1_0", "x"],
     cli._nonneg_int: ["0", "30", "31", "-1", "x"],
+    cli._order_arg: ["0", "1000", "1001", "-1", "x"],
     cli._positive_float: ["1e-12", "0.5", "inf", "0", "-1", "nan", "x"],
 }
 

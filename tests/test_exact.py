@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -407,38 +407,80 @@ def test_series_from_ratfunc():
         series_from_ratfunc(geometric, -1)
 
 
-@pytest.mark.parametrize(
-    "f, order",
-    [
-        (RatFunc(ONE, Poly((1, 0, -1))), 7),  # zero taps: 1/(1 - x^2)
-        (RatFunc(ONE, Poly((-2, 1))), 5),  # negative den_0
-        (RatFunc(X * X * Poly((1, 1)), X * X * Poly((3, -1, 0, 4))), 8),  # shared x^2
-        (RatFunc(Poly((2,)), Poly((3, 1, 1))), 12),  # order past len(num)
-        (RatFunc(Poly(()), Poly((-5, 1))), 4),  # zero numerator
-        (RatFunc(Poly(()), X * X), 3),
-        (convergent_exact(xcot_spec(), 33), 67),  # every odd tap of den is zero
-        # even functions, divided in x^2
-        (RatFunc(Poly((3,)), Poly((2,))), 5),  # constant over constant: not compressed
-        (RatFunc(Poly((1, 0, 5)), Poly((2,))), 6),  # even over constant
-        (RatFunc(ONE, Poly((1, 0, 0, 0, -1))), 13),  # 1/(1 - x^4)
-        (RatFunc(Poly((1, 0, 2)), Poly((1, 1, 1))), 9),  # even over a den with an odd term
-        (RatFunc(X, Poly((1, 0, -1))), 7),  # odd over even
-        (RatFunc(X * X * Poly((1, 0, -1)), X * X * Poly((2, 0, 3))), 10),  # shared x^2
-        (RatFunc(X * Poly((1, 0, -1)), X * Poly((2, 0, 3))), 11),  # shared x, even once cancelled
-        (RatFunc(Poly((Fraction(1, 3), 0, 1)), Poly((2, 0, Fraction(-1, 5)))), 11),
-        (RatFunc(ONE, Poly((1, 0, -1))), 0),
-        (RatFunc(ONE, Poly((1, 0, -1))), 1),
-        (convergent_exact(xcot_spec(), 12), 27),
-    ],
-    ids=["zero-taps", "negative-d0", "shared-x-power", "past-num", "zero-num", "zero-num-over-x2",
-         "xcot-33", "even-const-over-const", "even-over-const", "even-1-x4", "even-over-odd-den",
-         "odd-over-even", "even-shared-x2", "even-shared-x", "even-fractions", "even-order-0",
-         "even-order-1", "xcot-12"],
-)
+# (f, order): zero taps, negative den_0, shared powers of x, zero numerators, Fraction
+# coefficients, and the even functions that are divided in x^2
+SERIES_CASES = [
+    (RatFunc(ONE, Poly((1, 0, -1))), 7),  # zero taps: 1/(1 - x^2)
+    (RatFunc(ONE, Poly((-2, 1))), 5),  # negative den_0
+    (RatFunc(X * X * Poly((1, 1)), X * X * Poly((3, -1, 0, 4))), 8),  # shared x^2
+    (RatFunc(Poly((2,)), Poly((3, 1, 1))), 12),  # order past len(num)
+    (RatFunc(Poly(()), Poly((-5, 1))), 4),  # zero numerator
+    (RatFunc(Poly(()), X * X), 3),
+    (convergent_exact(xcot_spec(), 33), 67),  # every odd tap of den is zero
+    # even functions, divided in x^2
+    (RatFunc(Poly((3,)), Poly((2,))), 5),  # constant over constant: not compressed
+    (RatFunc(Poly((1, 0, 5)), Poly((2,))), 6),  # even over constant
+    (RatFunc(ONE, Poly((1, 0, 0, 0, -1))), 13),  # 1/(1 - x^4)
+    (RatFunc(Poly((1, 0, 2)), Poly((1, 1, 1))), 9),  # even over a den with an odd term
+    (RatFunc(X, Poly((1, 0, -1))), 7),  # odd over even
+    (RatFunc(X * X * Poly((1, 0, -1)), X * X * Poly((2, 0, 3))), 10),  # shared x^2
+    (RatFunc(X * Poly((1, 0, -1)), X * Poly((2, 0, 3))), 11),  # shared x, even once cancelled
+    (RatFunc(Poly((Fraction(1, 3), 0, 1)), Poly((2, 0, Fraction(-1, 5)))), 11),
+    (RatFunc(ONE, Poly((1, 0, -1))), 0),
+    (RatFunc(ONE, Poly((1, 0, -1))), 1),
+    (convergent_exact(xcot_spec(), 12), 27),
+    (convergent_exact(sec_tan_spec(), 24), 24),  # neither even nor odd
+    # Fraction coefficients and den_0 < 0, multiplied onto ints with den_0 > 0
+    (RatFunc(Poly((Fraction(1, 3), Fraction(-2, 7), 5)), Poly((Fraction(-3, 4), 1, 0, Fraction(5, 6)))), 12),
+    (RatFunc(X * Poly((-6, 4, 9)), X * Poly((-6, 0, 0, 10, -15))), 14),  # d0 = -6 shares factors
+    (RatFunc(Poly((0, Fraction(-1, 2), 0, 3)), Poly((Fraction(-7, 3), 0, 4))), 15),  # odd over even
+]
+SERIES_IDS = ["zero-taps", "negative-d0", "shared-x-power", "past-num", "zero-num", "zero-num-over-x2",
+              "xcot-33", "even-const-over-const", "even-over-const", "even-1-x4", "even-over-odd-den",
+              "odd-over-even", "even-shared-x2", "even-shared-x", "even-fractions", "even-order-0",
+              "even-order-1", "xcot-12", "sec-tan-24", "fractions-negative-d0", "negative-d0-shared-x",
+              "odd-fractions-negative-d0"]
+
+
+@pytest.mark.parametrize("f, order", SERIES_CASES, ids=SERIES_IDS)
 def test_series_is_long_division(f, order):
     coeffs = series_from_ratfunc(f, order)
     assert coeffs == reference_series(f, order)
     assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("f, order", SERIES_CASES, ids=SERIES_IDS)
+def test_series_coefficients_are_canonical_fractions(f, order):
+    # each coefficient is built without Fraction's constructor, so it must be what that
+    # constructor gives: reduced, with a positive denominator, hashed and printed alike
+    for c in series_from_ratfunc(f, order):
+        n, d = c.numerator, c.denominator
+        assert type(c) is Fraction and gcd(n, d) == 1 and d > 0
+        assert hash(c) == hash(Fraction(n, d)) and repr(c) == repr(Fraction(n, d))
+
+
+@pytest.mark.parametrize("f", [
+    RatFunc(Poly((Fraction(2, 3), -1, Fraction(1, 6))), Poly((Fraction(-5, 4), Fraction(1, 9), 2))),
+    RatFunc(Poly((3, 0, -2, 7)), Poly((-12, 5, 0, 8))),
+], ids=["fractions", "negative-d0"])
+def test_series_divides_on_ints(monkeypatch, f):
+    # Fraction coefficients and den_0 < 0 are multiplied away first: every coefficient is
+    # built from ints, and they agree with plain Fraction long division
+    original, built = exact._coprime, []
+    monkeypatch.setattr(exact, "_coprime", lambda n, d: built.append((type(n), type(d))) or original(n, d))
+    assert series_from_ratfunc(f, 20) == reference_series(f, 20)
+    assert built == [(int, int)] * 21
+
+
+def test_series_tests_catch_an_unreduced_coefficient(monkeypatch):
+    # a planted defect: each coefficient keeps a common factor, as if its gcd were skipped
+    original = exact._coprime
+    monkeypatch.setattr(exact, "_coprime", lambda n, d: original(3 * n, 3 * d))
+    with pytest.raises(AssertionError):
+        test_series_of_deep_convergent()
+    for case in SERIES_CASES:
+        with pytest.raises(AssertionError):
+            test_series_is_long_division(*case)
 
 
 def test_series_of_deep_convergent():

@@ -43,6 +43,9 @@ def test_study_script_runs(script, args):
             "exact.SUITES[flatten].check(15)",
             "convergent_exact(sec-tan, 2)",  # shallow rows: the fold's per-call overhead
             "convergent_exact(xcot, 4)",
+            "series_from_ratfunc(sec-tan 12, 12)",  # exact-deep's shallow series
+            "series_from_ratfunc(xcot 12, 25)",
+            "exact-deep op(sec-tan 12, 12)",
             "cli._parse(eval sec-tan --x 1)",  # the option table's path
             "cli._parse(eval sec-tan --x 1 --meth adaptive)",  # argparse's
             "one-shot import cfrac",  # new interpreters
@@ -54,6 +57,7 @@ def test_study_script_runs(script, args):
         if "--baseline" in args:  # each row also timed in the baseline, with the pairs' ratio
             row = "eval_forward(sec-tan, 1.0, 32)"
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
+                    "exact-deep op(sec-tan 12, 12) [ratio]",
                     "one-shot import cfrac [baseline]",
                     *(f"{row} [ratio]" for row in DENSE_ROWS + CLI_ROWS)} <= set(times)
 
