@@ -28,7 +28,6 @@ from .core import (
     eval_lentz,
     poly,
     relative_difference,
-    term_at,
 )
 from .expansions import (
     halved_value,
@@ -87,7 +86,6 @@ __all__ = [
     "sec_tan",
     "sec_tan_spec",
     "series_from_ratfunc",
-    "term_at",
     "verify_flattening",
     "verify_halving_rewrite",
     "verify_offset_rewrite",

@@ -34,17 +34,19 @@ plain ASCII ``p/q`` by ``int(p) / int(q)``, each correctly rounded as
 through ``Fraction``, which refuses a value that overflows or underflows and,
 before it builds the power of ten, a decimal exponent beyond 5000.  Depth
 flags (``eval --depth``, ``convergents --depth``, ``study --max-depth``)
-stop at ``DEFAULT_MAX_DEPTH``.  Each response is written at once: one
-``print``, or one ``writerows`` in csv.  An eval value or error estimate,
-or a convergent, that is nan or infinite is a numeric failure.
+and ``terms --count`` stop at ``DEFAULT_MAX_DEPTH``.  Each response is
+written at once: one ``print``, or one ``writerows`` in csv.  An eval value
+or error estimate, or a convergent, that is nan or infinite is a numeric
+failure.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure (no convergence or
-a denominator underflow), 3 verification failure.
+Exit codes: 0 success, 1 usage error or a stdout closed early, 2 numeric
+failure (no convergence or a denominator underflow), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import shutil
 import sys
@@ -133,9 +135,9 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-# a depth flag stops where eval_adaptive and sec_tan stop; --order is refused before any triangle
+# depth flags and --count stop where eval_adaptive and sec_tan stop; --order before any triangle
 _depth_arg, _nonneg_int = _int_at_least(1, DEFAULT_MAX_DEPTH), _int_at_least(0)
-_order_arg = _int_at_least(0, MAX_SERIES_ORDER)
+_order_arg, _count_arg = _int_at_least(0, MAX_SERIES_ORDER), _int_at_least(0, DEFAULT_MAX_DEPTH)
 
 
 def _positive_float(text: str) -> float:
@@ -352,7 +354,8 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
 
 def _terms_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("function", choices=tuple(_SPECS))
-    p.add_argument("--count", type=_nonneg_int, default=8, help="how many terms (default 8)")
+    p.add_argument("--count", type=_count_arg, default=8,
+                   help=f"how many terms (default 8, at most {DEFAULT_MAX_DEPTH})")
     _add_format_flag(p)
 
 
@@ -510,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout closed early, as by `| head`: exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit's flush goes nowhere
         return 1
 
 

@@ -263,15 +263,6 @@ def _kernels(name: str, template: str) -> list:
     return kernels
 
 
-def term_at(cf: CfSpec, k: int, x: float) -> tuple[float, float]:
-    """Return (a_k(x), b_k(x)) as doubles for k >= 1."""
-    if k < 1:
-        raise ValueError(f"term index must be >= 1, got {k}")
-    x = finite_float(x)
-    a0, a1, a2, b0, b1, b2 = _rows(cf, k)
-    return (a2[k] * x + a1[k]) * x + a0[k], (b2[k] * x + b1[k]) * x + b0[k]
-
-
 def _fold(cf: CfSpec, x: float, start: int, depth: int, tail: float | None = None) -> float:
     """``eval_backward``'s fold started at index ``start``: b_start + a_{start+1}/(...)."""
     if tail is not None and not abs(tail) >= POLE_THRESHOLD:  # nan fails >= too

@@ -113,37 +113,22 @@ class Poly:
                 out[i + j] += ci * cj
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        """The polynomial c * self."""
-        c = _exact(c)
-        return Poly([c * ci for ci in self.coeffs])
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        lead = other.coeffs[-1]
-        quot = [0] * max(len(rem) - dlen + 1, 0)
-        for i in range(len(rem) - dlen, -1, -1):
-            factor = Fraction(rem[i + dlen - 1]) / lead
-            quot[i] = factor
-            if factor:
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= factor * c
-        return Poly(quot), Poly(rem[: dlen - 1])
-
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean remainder sequence."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scale(1 / Fraction(a.coeffs[-1]))
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        while len(a) >= len(b):  # a mod b in place: cancel a's top with (a_top/b_top) x^shift b
+            factor, shift = Fraction(a[-1]) / b[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] -= factor * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return Poly([c / Fraction(a[-1]) for c in a] if a else ())
 
 
 _ZERO = Fraction(0)

@@ -1,5 +1,6 @@
 """Reference oracles for the tests: plain Fraction long division for Taylor
-series, a coefficient-wise polynomial sum and a brute-force zigzag count."""
+series, a coefficient-wise polynomial sum, a polynomial remainder and a
+brute-force zigzag count."""
 
 import itertools
 from fractions import Fraction
@@ -29,6 +30,16 @@ def reference_series(f, order):
 def poly_add(p, q):
     """The coefficient-wise sum p + q."""
     return Poly([a + b for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def poly_rem(p, q):
+    """The remainder of p on division by a nonzero q, by schoolbook long division."""
+    rem, size = [Fraction(c) for c in p.coeffs], len(q.coeffs)
+    for i in range(len(rem) - size, -1, -1):
+        factor = rem[i + size - 1] / q.coeffs[-1]
+        for j, c in enumerate(q.coeffs):
+            rem[i + j] -= factor * c
+    return Poly(rem[: size - 1])
 
 
 def alternating_count(n):

@@ -256,6 +256,32 @@ def test_terms_count_zero(capsys):
     assert out.splitlines() == ["k,a,b"]
 
 
+def test_terms_count_past_the_cap_is_refused_before_any_term(capsys, monkeypatch):
+    calls, spec = [], xcot_spec()
+    counting = CfSpec(name=spec.name, leading=spec.leading,
+                      termgen=lambda k: calls.append(k) or spec.termgen(k))
+    monkeypatch.setitem(cli._SPECS, "xcot", lambda: counting)
+    for count in ("4097", "200000", str(10**9)):
+        code, out, err = run(capsys, "terms", "xcot", "--count", count)
+        assert code == 1 and out == "" and f"must be <= {DEFAULT_MAX_DEPTH}" in err
+    assert calls == []
+    code, out, _ = run(capsys, "terms", "xcot", "--count", str(DEFAULT_MAX_DEPTH), "--format", "csv")
+    assert code == 0 and calls == list(range(1, 4097)) and out.splitlines()[-1] == "4096,-x^2,8193"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """The reader of stdout, as ``| head -n 1``, closes it after one line of 4.5 MB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "cfrac", "series", "--order", "1000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().split() == [b"n", b"zigzag", b"coefficient"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert err == b""
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
@@ -550,6 +576,7 @@ TYPE_SAMPLES = {
     cli._depth_arg: ["1", "4096", "0", "4097", "-1", "1.5", "1_0", "x"],
     cli._nonneg_int: ["0", "30", "31", "-1", "x"],
     cli._order_arg: ["0", "1000", "1001", "-1", "x"],
+    cli._count_arg: ["0", "4096", "4097", "-1", "x"],
     cli._positive_float: ["1e-12", "0.5", "inf", "0", "-1", "nan", "x"],
 }
 

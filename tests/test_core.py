@@ -25,7 +25,6 @@ from cfrac import (
     poly,
     sec_tan,
     sec_tan_spec,
-    term_at,
     xcot_spec,
 )
 
@@ -44,6 +43,12 @@ FLAT_AT_1 = [
     Fraction(1077, 316),
     Fraction(2321, 681),
 ]
+
+
+def _term(spec, k, x):
+    """(a_k(x), b_k(x)) as doubles, by the kernels' Horner on the spec's float table."""
+    a0, a1, a2, b0, b1, b2 = core._rows(spec, k)
+    return (a2[k] * x + a1[k]) * x + a0[k], (b2[k] * x + b1[k]) * x + b0[k]
 
 
 def test_polyterm_is_exact_at_rational_points():
@@ -83,15 +88,6 @@ def test_polyterm_str():
 def test_termpair_rejects_zero_numerator():
     with pytest.raises(ValueError):
         TermPair(a=poly(0), b=poly(3))
-
-
-def test_term_at():
-    cot = xcot_spec()
-    assert term_at(cot, 1, 2.0) == (-4.0, 3.0)
-    assert term_at(cot, 3, 1.0) == (-1.0, 7.0)
-    assert term_at(sec_tan_spec(), 1, 0.0) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        term_at(cot, 0, 1.0)
 
 
 def test_backward_matches_exact_convergents():
@@ -162,7 +158,7 @@ def test_forward_rescale_is_invisible():
         p_prev, p, q_prev, q = 1.0, 1.0, 0.0, 1.0  # P_0 = b0 = 1
         plain, peak = [], 0.0
         for n in range(1, 121):
-            a, b = term_at(spec, n, x)
+            a, b = _term(spec, n, x)
             p_prev, p = p, b * p + a * p_prev
             q_prev, q = q, b * q + a * q_prev
             plain.append(p / q)
@@ -284,7 +280,6 @@ NON_FINITE_CALLS = {
     "paired_value": lambda x: paired_value(0, x, 8),
     "offset_value": lambda x: offset_value(0, x, 8),
     "halved_value": lambda x: halved_value(0, x, 8),
-    "term_at": lambda x: term_at(_SILENT, 2, x),
 }
 
 
@@ -313,7 +308,7 @@ def test_second_evaluation_generates_no_terms():
     calls.clear()
     eval_lentz(spec, 0.7, 1e-14, 80)
     eval_adaptive(spec, 0.7, 1e-12, max_depth=64)
-    assert term_at(spec, 80, 0.7) == (-0.7 * 0.7, 161.0)
+    assert _term(spec, 80, 0.7) == (-0.7 * 0.7, 161.0)
     assert calls == []
 
 
@@ -324,7 +319,7 @@ def test_deep_table_shares_float_objects():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        term_at(spec, 16388, 0.0)
+        core._rows(spec, 16388)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -364,7 +359,7 @@ def _grow_concurrently(spec, private, xs, depths, expected):
     assert len(results) == 8
     assert all(result == expected for result in results)
     rows = len(spec._table[0])  # every coefficient is where a serial fill puts it
-    term_at(private, rows - 1, 0.0)
+    core._rows(private, rows - 1)
     assert rows > depths[-1] and all(len(column) == rows for column in spec._table)
     assert all(column == serial[:rows] for column, serial in zip(spec._table, private._table))
 

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import gc
+import math
 import random
 import sys
 import threading
+import types
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -30,7 +32,7 @@ from cfrac import (
 )
 from cfrac import exact, expansions
 from cfrac.expansions import sec_tan_spec, xcot_spec
-from series_reference import alternating_count, poly_add, reference_series
+from series_reference import alternating_count, poly_add, poly_rem, reference_series
 
 # Zigzag numbers: hand-checkable for small n (1, 1, 1, 2, 5, 16, ...), larger
 # entries frozen from the brute-force permutation count in this suite.
@@ -51,17 +53,14 @@ def test_poly_arithmetic():
     a = Poly((1, 2, 3))
     b = Poly((0, 1))
     assert poly_add(a, b) == Poly((1, 3, 3))
-    assert poly_add(a, a.scale(-1)) == Poly(())
+    assert poly_add(a, Poly((-1, -2, -3))) == Poly(())
     assert a * b == Poly((0, 1, 2, 3))
-    assert a.scale(Fraction(1, 2)) == Poly((Fraction(1, 2), 1, Fraction(3, 2)))
     assert a(Fraction(2)) == 1 + 4 + 12
 
 
 def test_poly_keeps_integral_coefficients_as_ints():
-    scaled = Poly((Fraction(1, 2),)).scale(2)
-    assert scaled.coeffs == (1,) and type(scaled.coeffs[0]) is int
     assert [type(c) for c in Poly((Fraction(4, 2), Fraction(1, 3), 5)).coeffs] == [int, Fraction, int]
-    assert [type(c) for c in (X * X.scale(Fraction(1, 2)).scale(2)).coeffs] == [int, int, int]
+    assert [type(c) for c in (X * Poly((0, Fraction(1, 2))) * Poly((2,))).coeffs] == [int, int, int]
     # equal whichever exact type a coefficient arrived as
     assert Poly((Fraction(3), 1)) == Poly((3, 1))
     with pytest.raises(TypeError):
@@ -70,10 +69,6 @@ def test_poly_keeps_integral_coefficients_as_ints():
 
 def test_divisions_stay_exact_at_int_coefficients():
     # int / int would be a float; every division site must give a Fraction
-    quot, rem = divmod(Poly((1,)), Poly((2,)))
-    assert quot.coeffs == (Fraction(1, 2),) and type(quot.coeffs[0]) is Fraction
-    assert rem.is_zero
-    assert divmod(Poly((1, 1)), Poly((3,)))[0].coeffs == (Fraction(1, 3), Fraction(1, 3))
     monic = poly_gcd(Poly((2, 4)), Poly((0,)))
     assert monic.coeffs == (Fraction(1, 2), 1)
     assert [type(c) for c in monic.coeffs] == [Fraction, int]
@@ -85,14 +80,16 @@ def test_divisions_stay_exact_at_int_coefficients():
     assert all(type(c) is Fraction for c in coeffs)
 
 
-def test_poly_divmod_identity():
-    a = Poly((2, -3, 1, 5))
-    b = Poly((1, 1))
-    q, r = divmod(a, b)
-    assert poly_add(q * b, r) == a
-    assert len(r.coeffs) < len(b.coeffs)
-    with pytest.raises(ZeroDivisionError):
-        divmod(a, Poly(()))
+def test_poly_gcd_of_common_multiples():
+    # gcd(g*p, g*q) is monic, divides both products and is divisible by g
+    rng = random.Random("gcd")
+    for trial in range(400):
+        g, p, q = (random_poly(rng, fractions=trial % 2) for _ in range(3))
+        if g.is_zero or (p.is_zero and q.is_zero):
+            continue
+        d = poly_gcd(g * p, g * q)
+        assert d.coeffs[-1] == 1 and poly_rem(d, g).is_zero, trial
+        assert poly_rem(g * p, d).is_zero and poly_rem(g * q, d).is_zero, trial
 
 
 def test_poly_gcd_is_monic():
@@ -100,7 +97,7 @@ def test_poly_gcd_is_monic():
     b = Poly((-3, 3))
     assert poly_gcd(a, b) == Poly((-1, 1))
     assert poly_gcd(Poly(()), b) == Poly((-1, 1))
-    assert poly_gcd(a.scale(-7), Poly(())) == a
+    assert poly_gcd(Poly((7, 0, -7)), Poly(())) == a
 
 
 def test_ratfunc_unreduced_forms_compare_equal():
@@ -472,6 +469,18 @@ def test_series_divides_on_ints(monkeypatch, f):
     assert built == [(int, int)] * 21
 
 
+def test_series_running_denominator_stays_minimal(monkeypatch):
+    # the m of each coefficient's reduction gcd(w_i, m) is the lcm of the denominators so
+    # far: (2 + x)/(2 - x) = 1 + x + x^2/2 + x^3/4 + ... needs m = 1, 1, 2, 4, ...
+    calls = []
+    recording = types.SimpleNamespace(gcd=lambda a, b: calls.append((a, b)) or math.gcd(a, b), lcm=math.lcm)
+    monkeypatch.setattr(exact, "math", recording)
+    coeffs = series_from_ratfunc(RatFunc(Poly((2, 1)), Poly((2, -1))), 12)
+    assert coeffs == [1] + [Fraction(1, 2 ** (n - 1)) for n in range(1, 13)]
+    lcms = [math.lcm(*(c.denominator for c in coeffs[: i + 1])) for i in range(13)]
+    assert [m for _, m in calls[1::2]] == lcms == [1] + [2**n for n in range(12)]
+
+
 def test_series_tests_catch_an_unreduced_coefficient(monkeypatch):
     # a planted defect: each coefficient keeps a common factor, as if its gcd were skipped
     original = exact._coprime
@@ -729,7 +738,7 @@ def test_packed_tail_check_matches_poly_cross_multiplication(fractions):
     for trial in range(40 if fractions else 120):
         lhs = random_steps(rng, fractions, big=trial % 4 == 0)
         c = random_poly(rng, fractions)
-        shift, unshift = exact._shift(c.coeffs), exact._shift(c.scale(-1).coeffs)
+        shift, unshift = exact._shift(c.coeffs), exact._shift(tuple(-v for v in c.coeffs))
         for rhs in (lhs, [*shift, *lhs, *unshift] if trial % 2 else lhs + shift,
                     _raise_top(lhs), random_steps(rng, fractions)):
             verdict = exact._agree_for_every_tail(lambda k: lhs, lambda k: rhs, 0)

@@ -37,7 +37,6 @@ from cfrac import (
     poly,
     sec_tan,
     sec_tan_spec,
-    term_at,
     xcot_spec,
 )
 
@@ -88,8 +87,6 @@ def _calls():
             yield f"eval_lentz({name}, {h}, 1e-14, 12)", (
                 lambda s=spec, x=x: eval_lentz(s, x, 1e-14, 12))
             yield f"eval_forward({name}, {h})", lambda s=spec, x=x: eval_forward(s, x, 12)
-            for k in (1, 2, 3, 4):
-                yield f"term_at({name}, {k}, {h})", lambda s=spec, k=k, x=x: term_at(s, k, x)
             for depth in (1, 5, 32):
                 yield f"eval_backward({name}, {h}, {depth})", (
                     lambda s=spec, x=x, d=depth: eval_backward(s, x, d))

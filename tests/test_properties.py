@@ -11,13 +11,15 @@ from cfrac import (
     RatFunc,
     eval_backward,
     eval_forward,
+    poly_gcd,
     sec_tan_spec,
     series_from_ratfunc,
     zigzag,
 )
-from series_reference import alternating_count, poly_add, reference_series
+from series_reference import alternating_count, poly_add, poly_rem, reference_series
 
-fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+# p/q with |p/q| <= 4 and 1 <= q <= 9: the st.fractions domain, drawn faster from int pairs
+fracs = st.integers(1, 9).flatmap(lambda q: st.integers(-4 * q, 4 * q).map(lambda p: Fraction(p, q)))
 polys = st.lists(fracs, min_size=0, max_size=4).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 ratfuncs = st.builds(RatFunc, polys, nonzero_polys)
@@ -50,11 +52,14 @@ def test_poly_ring_laws(a, b, c):
 
 
 @common
-@given(polys, nonzero_polys)
-def test_poly_divmod_identity(a, b):
-    q, r = divmod(a, b)
-    assert poly_add(q * b, r) == a
-    assert len(r.coeffs) < len(b.coeffs)
+@given(nonzero_polys, polys, polys)
+def test_poly_gcd_of_common_multiples(g, p, q):
+    d = poly_gcd(g * p, g * q)
+    if p.is_zero and q.is_zero:
+        assert d.is_zero
+    else:  # monic, divides both products and is divisible by g
+        assert d.coeffs[-1] == 1 and poly_rem(d, g).is_zero
+        assert poly_rem(g * p, d).is_zero and poly_rem(g * q, d).is_zero
 
 
 @common
