@@ -88,10 +88,10 @@ ONE_SHOT = {  # row -> what a new interpreter runs and times
 
 def dense_spec(cfrac):
     """A stream with all six coefficient columns nonzero, so the kernels run their generic loops."""
-    poly, third = cfrac.poly, Fraction(1, 3)
-    return cfrac.CfSpec(name="dense", leading=poly(1, third, third), termgen=lambda k: cfrac.TermPair(
-        a=poly(Fraction(1, k + 1), (-1) ** k * third, Fraction(-1, 2 * k + 1)),
-        b=poly(2 * k + 1, Fraction(1, 2), Fraction(1, 8))))
+    term, third = cfrac.PolyTerm, Fraction(1, 3)
+    return cfrac.CfSpec(name="dense", leading=term(1, third, third), termgen=lambda k: cfrac.TermPair(
+        a=term(Fraction(1, k + 1), (-1) ** k * third, Fraction(-1, 2 * k + 1)),
+        b=term(2 * k + 1, Fraction(1, 2), Fraction(1, 8))))
 
 
 def layers(cfrac) -> dict:

@@ -26,7 +26,6 @@ from .core import (
     eval_backward,
     eval_forward,
     eval_lentz,
-    poly,
     relative_difference,
 )
 from .expansions import (
@@ -80,7 +79,6 @@ __all__ = [
     "halved_value",
     "offset_value",
     "paired_value",
-    "poly",
     "poly_gcd",
     "relative_difference",
     "sec_tan",

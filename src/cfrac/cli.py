@@ -7,8 +7,8 @@ study (error vs depth).  Output in text, CSV, or JSON.  Each subcommand's
 options are written once, in its function of ``_COMMANDS``.  A request
 builds the argparse parser and option table of the subcommand it names
 alone, at that subcommand's first request, from the stream names of
-``_SPECS`` and the suites of ``exact.SUITES`` (order, default levels,
-checks) as they are then; later ``main`` calls reuse them (``_command``).
+``_SPECS`` and the suites of ``exact.SUITES`` (order, default levels, checks
+and units) as they are then; later ``main`` calls reuse them (``_command``).
 The exact layer, ``json`` and ``csv`` are imported by the requests that use
 them, so a one-shot ``cfrac eval`` in text loads none of them.
 
@@ -74,7 +74,6 @@ from .expansions import sec_tan_spec, xcot_spec
 
 DEFAULT_REL_ERR = 1e-12
 DEFAULT_FIXED_DEPTH = 32
-DEFAULT_MAX_TERMS = 4096
 MAX_SERIES_ORDER = 1000  # 4.5 MB of text; at order 1600 a coefficient passes int's 4300-digit str limit
 
 _SPECS = {"sec-tan": sec_tan_spec, "xcot": xcot_spec}
@@ -186,7 +185,7 @@ def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
     if args.method == "adaptive":
         return eval_adaptive(spec, x, args.rel_err)
     if args.method == "lentz":
-        return eval_lentz(spec, x, args.rel_err, args.depth or DEFAULT_MAX_TERMS)
+        return eval_lentz(spec, x, args.rel_err, args.depth or DEFAULT_MAX_DEPTH)
     # fixed-depth methods still estimate the error against depth - 1
     depth = args.depth or DEFAULT_FIXED_DEPTH
     if args.method == "backward":
@@ -257,8 +256,9 @@ def _cmd_verify(args) -> int:
     levels = {name: suites[name].default_level if top is None else top for name in names}
     for name, level in levels.items():  # reject a level before any suite runs
         exact.check_level(name, level)
-    rows = [{"suite": name, "passed": suites[name].check(level)} for name, level in levels.items()]
-    _emit_table(rows, ["suite", "passed"], args.format)
+    rows = [{"suite": name, "passed": suites[name].check(level),
+             "checked": f"{suites[name].unit} 0..{level}"} for name, level in levels.items()]
+    _emit_table(rows, ["suite", "passed", "checked"], args.format)
     return 0 if all(row["passed"] for row in rows) else 3
 
 
@@ -309,7 +309,7 @@ def _eval_options(p: argparse.ArgumentParser) -> None:
         "--depth",
         type=_depth_arg,
         help=f"truncation depth for backward/forward (default {DEFAULT_FIXED_DEPTH}); "
-        f"iteration cap for lentz (default {DEFAULT_MAX_TERMS}); at most {DEFAULT_MAX_DEPTH}",
+        f"iteration cap for lentz (default {DEFAULT_MAX_DEPTH}); at most {DEFAULT_MAX_DEPTH}",
     )
     p.add_argument(
         "--rel-err",

@@ -128,11 +128,6 @@ class PolyTerm:
         return out
 
 
-def poly(c0: Rational = 0, c1: Rational = 0, c2: Rational = 0) -> PolyTerm:
-    """Shorthand constructor accepting ints or Fractions."""
-    return PolyTerm(c0, c1, c2)
-
-
 @dataclass(frozen=True)
 class TermPair:
     """One (a_k, b_k) pair.  a_k must be nonzero or the fraction terminates."""

@@ -5,8 +5,8 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 
 - ``verify_pairing``: steps 2m and 2m+1 of the x*cot(x) stream are the
   paired level m, for every tail value t.
-- ``verify_offset_rewrite``: shifting the paired recursion by -x equals its
-  four-term rewritten form, for every tail value t.
+- ``verify_offset_rewrite``: shifting paired level m by -x equals rows
+  4m..4m+3 of the offset stream, for every tail value t.
 - ``verify_halving_rewrite``: substituting x -> x/2 into the offset form
   equals the halved form, for every tail value t (decided at 2x, on ints).
 - ``verify_flattening``: steps 4m+1..4m+4 of the sec-tan stream are the
@@ -17,16 +17,16 @@ the x*cot(x) fraction into the sec(x)+tan(x) fraction (see ``expansions``):
 
 Each recursion level is written once, as a list of continued-fraction
 steps t -> b + a/t (Jones & Thron 1980; a shift t -> t + c is the two steps
-c + 1/(0 + 1/t)) whose b and a are literal coefficients in x, and the next
-link reuses it (``_paired``, ``_offset_rhs``, ``_halving_rhs``; the halving
-side is taken at 2x by substitution, ``_at``), so the five checks form one
-chain.  The four algebraic suites decide one level each with
-``_agree_for_every_tail``, whose sides are step lists: a level or a slice
-of a stream's step table, generated once per ``CfSpec`` (``_steps``).  By
-associativity, a stream that agrees with the levels 0..m for every tail
-has, at t = infinity, their convergents.  ``SUITES`` lists the suites in
-derivation order with the deepest stream row each reads or rewrites and
-their default levels.
+c + 1/(0 + 1/t)), and the next link reuses it (``_paired``, ``_halving_rhs``
+with literal coefficients, the latter at 2x by substitution, ``_at``;
+``_offset_rhs``, rows 4k..4k+3 of the stream ``offset_value`` folds), so the
+five checks form one chain over the three streams the float layer folds.
+The four algebraic suites decide one level each with ``_agree_for_every_tail``,
+whose sides are step lists: a level or a slice of a stream's step table,
+generated once per ``CfSpec`` (``_steps``).  By associativity, a stream that
+agrees with the levels 0..m for every tail has, at t = infinity, their
+convergents.  ``SUITES`` lists the suites in derivation order with the
+deepest stream row each reads or rewrites, their default levels and units.
 
 The layer has one exact fold of steps (``_cleared``, ``_packed``), shared
 by ``convergent_exact`` and every suite.  It holds a polynomial p as the
@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .core import CfSpec, _exact
-from .expansions import sec_tan_spec, xcot_spec
+from .expansions import _OFFSET, sec_tan_spec, xcot_spec
 
 # Depth ceiling for exact convergents; coefficient growth is the cost driver.
 MAX_EXACT_DEPTH = 64
@@ -408,9 +408,9 @@ def _offset_lhs(k: int) -> list[_Step]:
 
 
 def _offset_rhs(k: int) -> list[_Step]:
-    # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}
-    return [([(0, 4 * k + 1)], _MINUS_X), ([(0, 1)], _MINUS_X),
-            ([(0, 4 * k + 3)], _PLUS_X), ([(0, 1)], _PLUS_X)]
+    # offset level: 4k+1 - x/(1 - x/(4k+3 + x/(1 + x/t))), with t = offset_{k+1}, as rows
+    # 4k..4k+3 of the stream offset_value folds
+    return _stream_steps(_OFFSET, 4 * k, 4 * k + 3)
 
 
 def verify_offset_rewrite(k: int = 0) -> bool:
@@ -494,21 +494,24 @@ def verify_series(order: int) -> bool:
 
 
 class Suite(NamedTuple):
-    check: Callable[[int], bool]  # decides levels 0..m (the series: order m)
+    check: Callable[[int], bool]  # decides levels 0..m (the series: orders 0..m)
     depth: Callable[[int], int]  # deepest stream row (b_k, a_(k+1)) that level m reads or rewrites
     default_level: int
+    unit: str = "levels"  # what m counts: ``cfrac verify`` reports "<unit> 0..m" as checked
 
 
 # The suites in derivation order.  Each check calls its verify_* function
 # through the module-global name, so a replaced one takes effect.  Offset
 # level m rewrites paired level m (x*cot(x) rows 2m, 2m+1), and halving level
 # m gives halved level m (sec-tan rows 4m+1..4m+4), so each takes that depth.
+# Both also read offset-stream rows 4m..4m+3, past MAX_EXACT_DEPTH from offset level 16
+# on; a 4-row slice of degree-1 terms has no coefficient growth, so they add no depth.
 SUITES = {
     "pairing": Suite(lambda m: all(verify_pairing(j) for j in range(m + 1)), lambda m: 2 * m + 1, 8),
     "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 2 * m + 1, 5),
     "halving": Suite(lambda m: all(verify_halving_rewrite(k) for k in range(m + 1)), lambda m: 4 * m + 4, 5),
     "flatten": Suite(lambda m: all(verify_flattening(j) for j in range(m + 1)), lambda m: 4 * m + 4, 3),
-    "series": Suite(lambda order: verify_series(order), lambda order: 2 * order + 3, 12),
+    "series": Suite(lambda order: verify_series(order), lambda order: 2 * order + 3, 12, "orders"),
 }
 
 

@@ -26,9 +26,9 @@ values):
 
 Each recursion is one flat term stream folded backward by ``core`` from some
 index: paired_k is the x*cot(x) stream from 2k, halved_k the sec-tan stream
-from 4k + 1 and offset_k the stream of ``_offset_terms`` from 4k.  Both spec
-factories return one shared instance, so each stream's float table is built
-once.  Each step of the chain is verified exactly by the ``exact`` module.
+from 4k + 1 and offset_k the offset stream ``_OFFSET`` from 4k.  Each stream
+is one shared instance, so its float table is built once.  The ``exact``
+module verifies each step of the chain on these same three streams.
 """
 
 from __future__ import annotations
@@ -39,19 +39,19 @@ from .core import (
     DEFAULT_MAX_DEPTH,
     CfSpec,
     EvalReport,
+    PolyTerm,
     TermPair,
     _deepen,
     _fold,
     eval_backward,
     finite_float,
-    poly,
 )
 
-_MINUS_X_SQ = poly(c2=-1)
-_PLUS_X = poly(c1=1)
-_MINUS_X = poly(c1=-1)
-_ONE = poly(1)
-_TWO = poly(2)
+_MINUS_X_SQ = PolyTerm(c2=-1)
+_PLUS_X = PolyTerm(c1=1)
+_MINUS_X = PolyTerm(c1=-1)
+_ONE = PolyTerm(1)
+_TWO = PolyTerm(2)
 
 
 @cache
@@ -59,9 +59,9 @@ def xcot_spec() -> CfSpec:
     """The fraction 1 - x^2/(3 - x^2/(5 - ...)) whose value is x*cot(x)."""
 
     def gen(k: int) -> TermPair:
-        return TermPair(a=_MINUS_X_SQ, b=poly(2 * k + 1))
+        return TermPair(a=_MINUS_X_SQ, b=PolyTerm(2 * k + 1))
 
-    return CfSpec(name="xcot", leading=poly(1), termgen=gen)
+    return CfSpec(name="xcot", leading=PolyTerm(1), termgen=gen)
 
 
 @cache
@@ -74,14 +74,14 @@ def sec_tan_spec() -> CfSpec:
 
     def gen(k: int) -> TermPair:
         a = _PLUS_X if k % 4 in (0, 1) else _MINUS_X
-        return TermPair(a=a, b=poly(k) if k % 2 else _TWO)
+        return TermPair(a=a, b=PolyTerm(k) if k % 2 else _TWO)
 
-    return CfSpec(name="sec-tan", leading=poly(1), termgen=gen)
+    return CfSpec(name="sec-tan", leading=PolyTerm(1), termgen=gen)
 
 
 def _offset_terms(k: int) -> TermPair:
     """b_k = 1 for odd k and k + 1 for even k; a_k = -x when k mod 4 is 1 or 2, else +x."""
-    return TermPair(a=_MINUS_X if k % 4 in (1, 2) else _PLUS_X, b=_ONE if k % 2 else poly(k + 1))
+    return TermPair(a=_MINUS_X if k % 4 in (1, 2) else _PLUS_X, b=_ONE if k % 2 else PolyTerm(k + 1))
 
 
 _OFFSET = CfSpec(name="offset", leading=_ONE, termgen=_offset_terms)
@@ -102,7 +102,8 @@ def offset_value(k: int, x: float, levels: int, tail: float | None = None) -> fl
     """offset_k(x) = paired_k(x) - x through level k + levels, folded from index 4k.
 
     The innermost offset_{k+levels+1} is replaced by ``tail`` when one is
-    supplied; otherwise the innermost x/offset term is dropped.
+    supplied; otherwise the innermost x/offset term is dropped.  ``verify
+    offset`` and ``verify halving`` decide this stream, rows 4k..4k+3 a level.
     """
     if k < 0 or levels < 0:
         raise ValueError(f"k and levels must be >= 0, got k={k}, levels={levels}")

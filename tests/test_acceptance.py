@@ -13,6 +13,7 @@ from math import factorial
 
 from cfrac import (
     CfSpec,
+    PolyTerm,
     TermPair,
     convergent_exact,
     eval_backward,
@@ -21,7 +22,6 @@ from cfrac import (
     halved_value,
     offset_value,
     paired_value,
-    poly,
     sec_tan,
     sec_tan_spec,
     series_from_ratfunc,
@@ -88,8 +88,8 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
                 "xcot_spec",
                 lambda: CfSpec(
                     name="xcot",
-                    leading=poly(1),
-                    termgen=lambda k: TermPair(a=poly(c2=1), b=poly(2 * k + 1)),
+                    leading=PolyTerm(1),
+                    termgen=lambda k: TermPair(a=PolyTerm(c2=1), b=PolyTerm(2 * k + 1)),
                 ),
             )
             assert not exact.verify_pairing(1)
@@ -97,9 +97,9 @@ def test_criterion_1_derivation_chain_verified_exactly(monkeypatch):
         def flipped_flat():
             def termgen(k):
                 sign = -1 if k % 4 in (0, 1) else 1
-                return TermPair(a=poly(c1=sign), b=poly(k if k % 2 else 2))
+                return TermPair(a=PolyTerm(c1=sign), b=PolyTerm(k if k % 2 else 2))
 
-            return CfSpec(name="sec-tan", leading=poly(1), termgen=termgen)
+            return CfSpec(name="sec-tan", leading=PolyTerm(1), termgen=termgen)
 
         with monkeypatch.context() as mp:
             mp.setattr(exact, "sec_tan_spec", flipped_flat)

@@ -286,11 +286,14 @@ def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == ["suite", "passed"]
-    suites = [line.split()[0] for line in lines[1:]]
-    assert suites == ["pairing", "offset", "halving", "flatten", "series"]
-    for line in lines[1:]:
-        assert line.split()[1:] == ["pass"]
+    assert lines[0].split() == ["suite", "passed", "checked"]
+    assert [line.split() for line in lines[1:]] == [
+        ["pairing", "pass", "levels", "0..8"],
+        ["offset", "pass", "levels", "0..5"],
+        ["halving", "pass", "levels", "0..5"],
+        ["flatten", "pass", "levels", "0..3"],
+        ["series", "pass", "orders", "0..12"],
+    ]
 
 
 def test_verify_all_runs_each_suite_of_the_table(capsys, monkeypatch):
@@ -343,7 +346,7 @@ def test_verify_single_suite_json(capsys):
     code, out, _ = run(capsys, "verify", "halving", "--max-level", "2", "--format", "json")
     assert code == 0
     rows = json.loads(out)
-    assert rows == [{"suite": "halving", "passed": True}]
+    assert rows == [{"suite": "halving", "passed": True, "checked": "levels 0..2"}]
 
 
 def test_verify_is_reproducible(capsys):
@@ -384,7 +387,8 @@ def test_verify_passes_at_each_suite_cap(capsys):
     for suite, cap in (("pairing", 31), ("offset", 31), ("halving", 15), ("flatten", 15), ("series", 30)):
         code, out, err = run(capsys, "verify", suite, "--max-level", str(cap), "--format", "csv")
         assert (code, err) == (0, ""), suite
-        assert out.splitlines() == ["suite,passed", f"{suite},pass"]
+        unit = "orders" if suite == "series" else "levels"
+        assert out.splitlines() == ["suite,passed,checked", f"{suite},pass,{unit} 0..{cap}"]
 
 
 def test_verify_sampling_flags_are_gone(capsys):

@@ -10,7 +10,8 @@ where an evaluator's result is not finite.  The pin was written by the
 CLI as it was before ``--x`` was read straight to a float and each
 response written at once, so this test holds that rewrite to the same
 bytes; only the rows whose result is not finite were written again, when
-such a result became a numeric failure (exit 2).
+such a result became a numeric failure (exit 2), and the successful
+``verify`` rows, when ``verify`` gained its ``checked`` column.
 
 argparse words the help and the usage errors, and its wording may move
 between Python versions: those requests are compared byte for byte on the

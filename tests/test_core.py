@@ -22,7 +22,6 @@ from cfrac import (
     halved_value,
     offset_value,
     paired_value,
-    poly,
     sec_tan,
     sec_tan_spec,
     xcot_spec,
@@ -52,7 +51,7 @@ def _term(spec, k, x):
 
 
 def test_polyterm_is_exact_at_rational_points():
-    p = poly(Fraction(1, 3), -2, Fraction(5, 7))
+    p = PolyTerm(Fraction(1, 3), -2, Fraction(5, 7))
     x = Fraction(9, 4)
     assert p(x) == Fraction(1, 3) - 2 * x + Fraction(5, 7) * x * x
     assert isinstance(p(x), Fraction)
@@ -60,12 +59,12 @@ def test_polyterm_is_exact_at_rational_points():
 
 
 def test_polyterm_stores_ints_where_integral():
-    for term in (poly(3, -2, 0), poly(Fraction(6, 2)), poly(3.0), PolyTerm(c2=Fraction(-4, 4))):
+    for term in (PolyTerm(3, -2, 0), PolyTerm(Fraction(6, 2)), PolyTerm(3.0), PolyTerm(c2=Fraction(-4, 4))):
         assert all(type(c) is int for c in term.coefficients()), term
-    for term in (poly(Fraction(1, 2)), poly(0.5)):
+    for term in (PolyTerm(Fraction(1, 2)), PolyTerm(0.5)):
         assert term.c0 == Fraction(1, 2) and type(term.c0) is Fraction
-    assert poly(1, 2, 3)(2) == 17 and type(poly(1, 2, 3)(2)) is int
-    assert poly(Fraction(6, 2)) == poly(3) and hash(poly(Fraction(6, 2))) == hash(poly(3))
+    assert PolyTerm(1, 2, 3)(2) == 17 and type(PolyTerm(1, 2, 3)(2)) is int
+    assert PolyTerm(Fraction(6, 2)) == PolyTerm(3) and hash(PolyTerm(Fraction(6, 2))) == hash(PolyTerm(3))
 
 
 def test_polyterm_normalises_bool_and_int_subclasses():
@@ -73,21 +72,21 @@ def test_polyterm_normalises_bool_and_int_subclasses():
         pass
 
     for c in (True, Count(3)):
-        assert type(poly(c).c0) is int and poly(c) == poly(int(c))
+        assert type(PolyTerm(c).c0) is int and PolyTerm(c) == PolyTerm(int(c))
 
 
 def test_polyterm_str():
-    assert str(poly(3)) == "3"
-    assert str(poly(0)) == "0"
-    assert str(poly(c1=1)) == "x"
-    assert str(poly(c1=-1)) == "-x"
-    assert str(poly(c2=-1)) == "-x^2"
-    assert str(poly(1, 0, -2)) == "-2*x^2 + 1"
+    assert str(PolyTerm(3)) == "3"
+    assert str(PolyTerm(0)) == "0"
+    assert str(PolyTerm(c1=1)) == "x"
+    assert str(PolyTerm(c1=-1)) == "-x"
+    assert str(PolyTerm(c2=-1)) == "-x^2"
+    assert str(PolyTerm(1, 0, -2)) == "-2*x^2 + 1"
 
 
 def test_termpair_rejects_zero_numerator():
     with pytest.raises(ValueError):
-        TermPair(a=poly(0), b=poly(3))
+        TermPair(a=PolyTerm(0), b=PolyTerm(3))
 
 
 def test_backward_matches_exact_convergents():
@@ -236,7 +235,7 @@ def _assert_nan_rejected_before_any_term(call, monkeypatch):
         calls.append(k)
         return sec_tan_spec().termgen(k)
 
-    spec = CfSpec(name="counting", leading=poly(1), termgen=counting)
+    spec = CfSpec(name="counting", leading=PolyTerm(1), termgen=counting)
     monkeypatch.setattr(expansions, "sec_tan_spec", lambda: spec)
     with pytest.raises(ValueError, match="nan"):
         call(spec)
@@ -269,7 +268,7 @@ def _no_terms(k):
     raise AssertionError(f"term {k} generated for a non-finite x")
 
 
-_SILENT = CfSpec(name="silent", leading=poly(1), termgen=_no_terms)
+_SILENT = CfSpec(name="silent", leading=PolyTerm(1), termgen=_no_terms)
 
 NON_FINITE_CALLS = {
     "eval_backward": lambda x: eval_backward(_SILENT, x, 8),
@@ -297,7 +296,7 @@ def test_second_evaluation_generates_no_terms():
         calls.append(k)
         return xcot_spec().termgen(k)
 
-    spec = CfSpec(name="counting", leading=poly(1), termgen=counting)
+    spec = CfSpec(name="counting", leading=PolyTerm(1), termgen=counting)
     first = eval_backward(spec, 0.7, 40)
     assert sorted(calls) == list(range(1, 41))
     calls.clear()
@@ -378,12 +377,12 @@ def test_shared_table_under_concurrent_growth():
 def _late_terms(k: int) -> TermPair:
     """sec-tan's terms until k = 40; from there a_k gains -x^2/16 and b_k gains x/4."""
     late = k >= 40
-    a = poly(0, 1 if k % 4 in (0, 1) else -1, Fraction(-1, 16) if late else 0)
-    return TermPair(a=a, b=poly(k if k % 2 else 2, Fraction(1, 4) if late else 0))
+    a = PolyTerm(0, 1 if k % 4 in (0, 1) else -1, Fraction(-1, 16) if late else 0)
+    return TermPair(a=a, b=PolyTerm(k if k % 2 else 2, Fraction(1, 4) if late else 0))
 
 
 def _late_spec() -> CfSpec:
-    return CfSpec(name="late", leading=poly(1), termgen=_late_terms)
+    return CfSpec(name="late", leading=PolyTerm(1), termgen=_late_terms)
 
 
 def _horner(term, x):
@@ -474,7 +473,7 @@ def test_shared_table_under_concurrent_growth_of_a_changing_shape():
 def _shaped_spec(shape: int) -> CfSpec:
     """A stream whose columns that ``shape`` marks are all zero, and every other entry nonzero."""
     def terms(k, bits):
-        return poly(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2)
+        return PolyTerm(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2)
                       for i in range(3)))
 
     return CfSpec(name=f"shape {shape}", leading=terms(0, shape >> 3),

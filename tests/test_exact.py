@@ -17,10 +17,10 @@ from cfrac import (
     DivisionByZeroFunction,
     Poly,
     PoleAtOrigin,
+    PolyTerm,
     RatFunc,
     TermPair,
     convergent_exact,
-    poly,
     poly_gcd,
     series_from_ratfunc,
     verify_flattening,
@@ -188,8 +188,8 @@ def xcot_from_non_int_scalars():
     """The x*cot(x) stream with its integral coefficients given as Fraction and float."""
     return CfSpec(
         name="xcot",
-        leading=poly(Fraction(1)),
-        termgen=lambda k: TermPair(a=poly(c2=-1.0), b=poly(Fraction(4 * k + 2, 2))),
+        leading=PolyTerm(Fraction(1)),
+        termgen=lambda k: TermPair(a=PolyTerm(c2=-1.0), b=PolyTerm(Fraction(4 * k + 2, 2))),
     )
 
 
@@ -241,8 +241,8 @@ def test_convergent_exact_degenerate():
     # 1 + 1/(0 + 1/(0 + ...)): Q_n is 0 at odd depths, so only those collapse
     bad = CfSpec(
         name="degenerate",
-        leading=poly(1),
-        termgen=lambda k: TermPair(a=poly(1), b=poly(0)),
+        leading=PolyTerm(1),
+        termgen=lambda k: TermPair(a=PolyTerm(1), b=PolyTerm(0)),
     )
     with pytest.raises(DegenerateConvergent):
         convergent_exact(bad, 1)
@@ -252,9 +252,10 @@ def test_convergent_exact_degenerate():
 
     # 1 + x/(1 + x/(0 + x/(x - x^2/x))): b_2 = 0 is inner at depth 4, where the
     # innermost two steps fold to 0 and the next to the pair (x^2, 0), yet Q_4 = x^2
-    terms = {1: TermPair(a=poly(c1=1), b=poly(1)), 2: TermPair(a=poly(c1=1), b=poly(0)),
-             3: TermPair(a=poly(c1=1), b=poly(c1=1)), 4: TermPair(a=poly(c2=-1), b=poly(c1=1))}
-    inner_zero = CfSpec(name="inner-zero", leading=poly(1), termgen=terms.__getitem__)
+    terms = {1: TermPair(a=PolyTerm(c1=1), b=PolyTerm(1)), 2: TermPair(a=PolyTerm(c1=1), b=PolyTerm(0)),
+             3: TermPair(a=PolyTerm(c1=1), b=PolyTerm(c1=1)),
+             4: TermPair(a=PolyTerm(c2=-1), b=PolyTerm(c1=1))}
+    inner_zero = CfSpec(name="inner-zero", leading=PolyTerm(1), termgen=terms.__getitem__)
     for depth in range(1, 5):
         f = convergent_exact(inner_zero, depth)
         assert (f.num, f.den) == forward_convergent(inner_zero, depth), depth
@@ -373,8 +374,8 @@ def test_convergent_exact_with_fraction_coefficients():
     # a_k = x/3, b_k = k + x^2/2: int and Fraction coefficients mixed
     spec = CfSpec(
         name="mixed",
-        leading=poly(1, Fraction(1, 3)),
-        termgen=lambda k: TermPair(a=poly(c1=Fraction(1, 3)), b=poly(k, 0, Fraction(1, 2))),
+        leading=PolyTerm(1, Fraction(1, 3)),
+        termgen=lambda k: TermPair(a=PolyTerm(c1=Fraction(1, 3)), b=PolyTerm(k, 0, Fraction(1, 2))),
     )
     rng = random.Random("mixed")
     for depth in range(1, 17):
@@ -551,26 +552,33 @@ def test_algebraic_suites_build_no_poly(monkeypatch):
     assert built == [((1,),)]
 
 
-def offset_stream_agrees(spec, k):
-    """Rows 4k..4k+3 of an offset stream against the offset level k, for every tail."""
-    return exact._agree_for_every_tail(
-        lambda k: exact._stream_steps(spec, 4 * k, 4 * k + 3), exact._offset_rhs, k)
-
-
-def test_offset_stream_holds_the_offset_levels():
-    # the stream behind offset_value, which no verify suite reads
-    assert all(offset_stream_agrees(expansions._OFFSET, k) for k in range(8))
+def test_verify_all_reads_every_stream_the_float_layer_folds(monkeypatch):
+    # the suites read the very streams expansions folds: the two shared specs and the
+    # offset stream of offset_value; given fresh copies, each builds its exact step table
+    assert (exact.xcot_spec, exact.sec_tan_spec, exact._OFFSET) == (
+        expansions.xcot_spec, expansions.sec_tan_spec, expansions._OFFSET)
+    fresh = {name: dataclasses.replace(spec) for name, spec in (
+        ("xcot_spec", xcot_spec()), ("sec_tan_spec", sec_tan_spec()), ("_OFFSET", expansions._OFFSET))}
+    for name in ("xcot_spec", "sec_tan_spec"):
+        monkeypatch.setattr(exact, name, lambda spec=fresh[name]: spec)
+    monkeypatch.setattr(exact, "_OFFSET", fresh["_OFFSET"])
+    for name, suite in exact.SUITES.items():
+        assert suite.check(suite.default_level), name
+    assert {name: bool(spec._steps) for name, spec in fresh.items()} == dict.fromkeys(fresh, True)
 
 
 @pytest.mark.parametrize("index, field, level", [(8, "a", 1), (8, "b", 2), (9, "a", 2), (12, "a", 2)])
-def test_a_wrong_offset_term_fails_only_its_level(index, field, level):
+def test_a_wrong_offset_term_fails_only_its_level(monkeypatch, index, field, level):
     # row j is (b_j, a_(j+1)), so b_j lies in level j // 4 and a_j in level (j - 1) // 4
     def planted(k):
         pair = expansions._offset_terms(k)
-        return dataclasses.replace(pair, **{field: poly(7, 1)}) if k == index else pair  # no term is 7 + x
+        wrong = PolyTerm(7, 1)  # no term is 7 + x
+        return dataclasses.replace(pair, **{field: wrong}) if k == index else pair
 
-    spec = CfSpec(name="planted", leading=expansions._OFFSET.leading, termgen=planted)
-    assert [offset_stream_agrees(spec, k) for k in range(4)] == [k != level for k in range(4)]
+    monkeypatch.setattr(exact, "_OFFSET", CfSpec(name="planted", leading=expansions._OFFSET.leading,
+                                                 termgen=planted))
+    for check in (verify_offset_rewrite, verify_halving_rewrite):
+        assert [check(k) for k in range(4)] == [k != level for k in range(4)], check.__name__
 
 
 def test_series_coefficients_are_zigzag_over_factorial():
@@ -838,8 +846,8 @@ def test_pairing_detects_sign_error(monkeypatch):
     def corrupted_spec():
         return CfSpec(
             name="xcot",
-            leading=poly(1),
-            termgen=lambda k: TermPair(a=poly(c2=1), b=poly(2 * k + 1)),
+            leading=PolyTerm(1),
+            termgen=lambda k: TermPair(a=PolyTerm(c2=1), b=PolyTerm(2 * k + 1)),
         )
 
     monkeypatch.setattr(exact, "xcot_spec", corrupted_spec)
@@ -851,9 +859,9 @@ def test_flattening_detects_sign_error(monkeypatch):
     def corrupted_spec():
         def termgen(k):
             sign = -1 if k % 4 in (0, 1) else 1
-            return TermPair(a=poly(c1=sign), b=poly(k if k % 2 else 2))
+            return TermPair(a=PolyTerm(c1=sign), b=PolyTerm(k if k % 2 else 2))
 
-        return CfSpec(name="sec-tan", leading=poly(1), termgen=termgen)
+        return CfSpec(name="sec-tan", leading=PolyTerm(1), termgen=termgen)
 
     monkeypatch.setattr(exact, "sec_tan_spec", corrupted_spec)
     assert not verify_flattening(0)
@@ -862,14 +870,14 @@ def test_flattening_detects_sign_error(monkeypatch):
 @pytest.mark.parametrize(
     "index, pair, failing",
     [
-        (4, TermPair(a=poly(c2=-2), b=poly(9)), {1}),  # a_4 = -2x^2: in step 3, level 1
-        (5, TermPair(a=poly(c2=-1), b=poly(12)), {2}),  # b_5 = 12: in step 5, level 2
+        (4, TermPair(a=PolyTerm(c2=-2), b=PolyTerm(9)), {1}),  # a_4 = -2x^2: in step 3, level 1
+        (5, TermPair(a=PolyTerm(c2=-1), b=PolyTerm(12)), {2}),  # b_5 = 12: in step 5, level 2
     ],
     ids=["a_4", "b_5"],
 )
 def test_pairing_decides_each_level_alone(monkeypatch, index, pair, failing):
     # a defect in one x*cot(x) term fails the one level whose steps hold it
-    spec = CfSpec(name="xcot", leading=poly(1),
+    spec = CfSpec(name="xcot", leading=PolyTerm(1),
                   termgen=lambda k: pair if k == index else xcot_spec().termgen(k))
     monkeypatch.setattr(exact, "xcot_spec", lambda: spec)
     assert {m for m in range(32) if not verify_pairing(m)} == failing

@@ -4,11 +4,11 @@ import pytest
 
 from cfrac import (
     DivisionNearZero,
+    PolyTerm,
     eval_backward,
     halved_value,
     offset_value,
     paired_value,
-    poly,
     sec_tan,
     sec_tan_spec,
     xcot_spec,
@@ -23,24 +23,24 @@ def ref_sec_tan(x):
 def test_xcot_term_stream():
     cot = xcot_spec()
     assert cot.name == "xcot"
-    assert cot.leading == poly(1)
+    assert cot.leading == PolyTerm(1)
     for k in (1, 2, 5):
         pair = cot.termgen(k)
-        assert pair.a == poly(c2=-1)
-        assert pair.b == poly(2 * k + 1)
+        assert pair.a == PolyTerm(c2=-1)
+        assert pair.b == PolyTerm(2 * k + 1)
 
 
 def test_sec_tan_term_stream():
     """Numerators cycle +x, -x, -x, +x; denominators are 1, 2, 3, 2, 5, 2, 7, 2."""
     flat = sec_tan_spec()
     assert flat.name == "sec-tan"
-    assert flat.leading == poly(1)
+    assert flat.leading == PolyTerm(1)
     signs = [1, -1, -1, 1, 1, -1, -1, 1]
     denominators = [1, 2, 3, 2, 5, 2, 7, 2]
     for k, (sign, den) in enumerate(zip(signs, denominators), start=1):
         pair = flat.termgen(k)
-        assert pair.a == poly(c1=sign)
-        assert pair.b == poly(den)
+        assert pair.a == PolyTerm(c1=sign)
+        assert pair.b == PolyTerm(den)
 
 
 def test_paired_value_base_cases():

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from cfrac import (
     CfSpec,
+    PolyTerm,
     TermPair,
     eval_adaptive,
     eval_backward,
@@ -34,7 +35,6 @@ from cfrac import (
     halved_value,
     offset_value,
     paired_value,
-    poly,
     sec_tan,
     sec_tan_spec,
     xcot_spec,
@@ -63,11 +63,11 @@ def _encode(result):
 
 
 # user streams: all six coefficient columns nonzero, and a = c*x^2 over b affine in x
-DENSE = CfSpec(name="dense", leading=poly(1, Fraction(1, 3), Fraction(1, 5)), termgen=lambda k: TermPair(
-    a=poly(Fraction(1, k + 1), Fraction((-1) ** k, 3), Fraction(-1, 2 * k + 1)),
-    b=poly(2 * k + 1, Fraction(1, 2), Fraction(1, 7))))
-MIXED = CfSpec(name="mixed", leading=poly(1, Fraction(1, 2)), termgen=lambda k: TermPair(
-    a=poly(c2=Fraction(-1, 4 * k * k - 1)), b=poly(2 * k + 1, Fraction(1, 2))))
+DENSE = CfSpec(name="dense", leading=PolyTerm(1, Fraction(1, 3), Fraction(1, 5)), termgen=lambda k: TermPair(
+    a=PolyTerm(Fraction(1, k + 1), Fraction((-1) ** k, 3), Fraction(-1, 2 * k + 1)),
+    b=PolyTerm(2 * k + 1, Fraction(1, 2), Fraction(1, 7))))
+MIXED = CfSpec(name="mixed", leading=PolyTerm(1, Fraction(1, 2)), termgen=lambda k: TermPair(
+    a=PolyTerm(c2=Fraction(-1, 4 * k * k - 1)), b=PolyTerm(2 * k + 1, Fraction(1, 2))))
 
 
 def _calls():
@@ -135,8 +135,8 @@ def test_forward_rescale_ignores_a_nan_numerator():
     about 3e151.  Rescaling there as well would take Q_4 below POLE_THRESHOLD.
     """
     terms = {1: (10**149, 1), 2: (1, 10**300), 3: (10**302, 0), 4: (Fraction(1, 10**310),) * 2}
-    spec = CfSpec(name="nan-numerator", leading=poly(1),
-                  termgen=lambda k: TermPair(a=poly(terms[k][0]), b=poly(terms[k][1])))
+    spec = CfSpec(name="nan-numerator", leading=PolyTerm(1),
+                  termgen=lambda k: TermPair(a=PolyTerm(terms[k][0]), b=PolyTerm(terms[k][1])))
     assert _encode(eval_forward(spec, 1.0, 4)) == ["0x1.f485516e7577fp+494", "inf", "nan", "nan"]
 
 
