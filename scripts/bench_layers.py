@@ -16,8 +16,8 @@ new copy of the spec, which builds that copy's exact steps.  The ``dense``
 rows run each float kernel on a stream with no all-zero coefficient column,
 so on its generic loop, where a kernel's per-call dispatch weighs most.
 Each suite of ``exact.SUITES`` is timed at its default level, and each
-capped suite also at the deepest level ``exact.check_level`` accepts
-(``CAPS``).
+suite also at the deepest level ``exact.check_level`` accepts
+(``suite_caps``, read from the measured checkout and used on both sides).
 The ``cli._parse`` rows time the argument parse alone: that of the
 ``cli.main(eval ...)`` row, so the two split a request into parse and
 handler, and one with an abbreviated option, which the option table
@@ -76,7 +76,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 0.2  # caps one run of a slow layer, such as `cfrac verify all`
 ADDR_NO_RANDOMIZE = 0x0040000  # personality(2) flag: no address-space randomisation
-CAPS = {"pairing": 31, "offset": 31, "halving": 15, "flatten": 15, "series": 30}  # at MAX_EXACT_DEPTH 64
 _QUIET_MAIN = ("import contextlib, io, cfrac.cli\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n    cfrac.cli.main({})")
 ONE_SHOT = {  # row -> what a new interpreter runs and times
@@ -94,8 +93,19 @@ def dense_spec(cfrac):
         b=term(2 * k + 1, Fraction(1, 2), Fraction(1, 8))))
 
 
-def layers(cfrac) -> dict:
-    """Layer name -> a call of that layer, on the shared spec of each stream."""
+def suite_caps(exact) -> dict:
+    """Suite name -> the deepest level m with ``depth(m) <= MAX_EXACT_DEPTH``."""
+    caps = {}
+    for name, suite in exact.SUITES.items():
+        m = 0
+        while suite.depth(m + 1) <= exact.MAX_EXACT_DEPTH:
+            m += 1
+        caps[name] = m
+    return caps
+
+
+def layers(cfrac, caps: dict) -> dict:
+    """Layer name -> a call of that layer, on the shared spec of each stream; ``caps`` from ``suite_caps``."""
     xcot, flat, dense = cfrac.xcot_spec(), cfrac.sec_tan_spec(), dense_spec(cfrac)
     calls = {
         "sec_tan(1.0)": lambda: cfrac.sec_tan(1.0),
@@ -137,9 +147,8 @@ def layers(cfrac) -> dict:
         calls[f"series_from_ratfunc({spec.name} {depth}, {order})"] = (
             lambda f=f, o=order: exact.series_from_ratfunc(f, o))
     for name, suite in exact.SUITES.items():
-        for level in (suite.default_level, CAPS.get(name)):
-            if level is not None:
-                calls[f"exact.SUITES[{name}].check({level})"] = lambda s=suite, m=level: s.check(m)
+        for level in (suite.default_level, caps[name]):
+            calls[f"exact.SUITES[{name}].check({level})"] = lambda s=suite, m=level: s.check(m)
     cli = cfrac.cli
     # the parse alone; a checkout older than cli._parse parsed with the top-level parser
     parse = getattr(cli, "_parse", None) or (lambda argv: cli._build_parser().parse_args(argv))
@@ -288,11 +297,12 @@ def main() -> None:
     import cfrac.cli
     import cfrac.exact  # noqa: F401  (import cfrac need not load it)
 
+    caps = suite_caps(cfrac.exact)  # the same rows on both sides, whatever the baseline's caps
     if args.baseline:
-        base_calls = layers(load_baseline(srcs[" [baseline]"]))
-        times = paired_rows(layers(cfrac), base_calls, args.repeat, args.number)
+        base_calls = layers(load_baseline(srcs[" [baseline]"]), caps)
+        times = paired_rows(layers(cfrac, caps), base_calls, args.repeat, args.number)
     else:
-        times = best_rows(layers(cfrac), args.repeat, args.number)
+        times = best_rows(layers(cfrac, caps), args.repeat, args.number)
     times.update(one_shot_rows(srcs, args.repeat))
     print(json.dumps(times, indent=2))
 

@@ -54,7 +54,6 @@ from fractions import Fraction
 from functools import cache
 from gettext import gettext as _
 from math import factorial, inf, isfinite
-from typing import NamedTuple
 
 from .core import (
     DEFAULT_MAX_DEPTH,
@@ -134,7 +133,8 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-# depth flags and --count stop where eval_adaptive and sec_tan stop; --order before any triangle
+# depth flags and --count stop at eval_adaptive's depth cap, which sec_tan counts in levels of
+# four rows (depth 16388); --order before any triangle
 _depth_arg, _nonneg_int = _int_at_least(1, DEFAULT_MAX_DEPTH), _int_at_least(0)
 _order_arg, _count_arg = _int_at_least(0, MAX_SERIES_ORDER), _int_at_least(0, DEFAULT_MAX_DEPTH)
 
@@ -389,7 +389,7 @@ def _command(name: str) -> _Parser:
     _, options = _COMMANDS[name]
     parser = _Parser(prog=f"cfrac {name}")  # the prog argparse gives the top-level parser's one
     options(parser)
-    parser.table = _OptionTable.of(parser)
+    parser.table = _OptionTable(parser)
     return parser
 
 
@@ -411,7 +411,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _OptionTable(NamedTuple):
+class _OptionTable:
     """A subcommand's single-value actions, enough to parse a plain request without argparse.
 
     ``options`` maps the option strings of each single-value store action
@@ -421,22 +421,15 @@ class _OptionTable(NamedTuple):
     give.  Any other option (here only ``-h``) is unknown to the table.
     """
 
-    options: dict[str, argparse.Action]
-    positionals: tuple[argparse.Action, ...]
-    defaults: dict[str, object]
-    required: frozenset[str]
-
-    @classmethod
-    def of(cls, parser: argparse.ArgumentParser) -> _OptionTable:
+    def __init__(self, parser: argparse.ArgumentParser):
         """The table of ``parser``, whose positionals each take one value."""
         actions, suppress = parser._actions, argparse.SUPPRESS
         single = [a for a in actions if type(a) is argparse._StoreAction and a.nargs is None]
-        return cls(
-            {option: action for action in single for option in action.option_strings},
-            tuple(a for a in actions if not a.option_strings),
-            {a.dest: a.default for a in actions if a.dest is not suppress and a.default is not suppress},
-            frozenset(a.dest for a in actions if a.required),
-        )
+        self.options = {option: action for action in single for option in action.option_strings}
+        self.positionals = tuple(a for a in actions if not a.option_strings)
+        self.defaults = {a.dest: a.default for a in actions
+                         if a.dest is not suppress and a.default is not suppress}
+        self.required = frozenset(a.dest for a in actions if a.required)
 
     def parse(self, tokens: list[str]) -> argparse.Namespace | None:
         """``tokens`` parsed as the subcommand's parser would, or None to leave them to it.

@@ -45,11 +45,9 @@ loop, goes on in the loop compiled for the grown table's shape.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Literal, Union
-
-Rational = Union[int, Fraction]
 
 # Magnitude below which an intermediate denominator is treated as a pole
 # of the approximant (binary64 underflows around 5e-324).
@@ -58,10 +56,9 @@ POLE_THRESHOLD = 1e-300
 # Replacement magnitude for vanishing intermediates in the Lentz iteration.
 TINY_GUARD = 1e-30
 
-# Depth ceiling for the adaptive doubling schedule.
+# Cap of the adaptive doubling schedule: eval_adaptive's deepest depth, and
+# sec_tan's most levels of four rows each, so depth 4*4096 + 4 = 16388 there.
 DEFAULT_MAX_DEPTH = 4096
-
-Method = Literal["backward", "forward", "lentz"]
 
 
 class DivisionNearZero(ArithmeticError):
@@ -75,7 +72,7 @@ class NoConvergence(RuntimeError):
     """An iteration budget was exhausted before the stopping test passed."""
 
 
-def _exact(c) -> Rational:
+def _exact(c) -> int | Fraction:
     """c as an exact scalar: an int when it is integral, else a Fraction."""
     if type(c) is int:  # the common case; bool and int subclasses are normalised below
         return c
@@ -88,9 +85,9 @@ def _exact(c) -> Rational:
 class PolyTerm:
     """Polynomial c0 + c1*x + c2*x**2; each coefficient an int if integral, else a Fraction."""
 
-    c0: Rational = 0
-    c1: Rational = 0
-    c2: Rational = 0
+    c0: int | Fraction = 0
+    c1: int | Fraction = 0
+    c2: int | Fraction = 0
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2"):
@@ -104,7 +101,7 @@ class PolyTerm:
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
-    def coefficients(self) -> tuple[Rational, Rational, Rational]:
+    def coefficients(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         return (self.c0, self.c1, self.c2)
 
     def __str__(self) -> str:
@@ -170,7 +167,7 @@ class EvalReport:
     value: float
     depth: int
     est_rel_err: float
-    method: Method
+    method: str  # "backward", "forward" or "lentz"
 
 
 def finite_float(x) -> float:

@@ -46,10 +46,11 @@ ints that builds each coefficient once; the four algebraic suites build none.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
 
 from .core import CfSpec, _exact
 from .expansions import _OFFSET, sec_tan_spec, xcot_spec
@@ -493,19 +494,18 @@ def verify_series(order: int) -> bool:
     return coeffs == [Fraction(z, math.factorial(n)) for n, z in enumerate(_zigzags(order))]
 
 
-class Suite(NamedTuple):
-    check: Callable[[int], bool]  # decides levels 0..m (the series: orders 0..m)
-    depth: Callable[[int], int]  # deepest stream row (b_k, a_(k+1)) that level m reads or rewrites
-    default_level: int
-    unit: str = "levels"  # what m counts: ``cfrac verify`` reports "<unit> 0..m" as checked
+Suite = collections.namedtuple("Suite", "check depth default_level unit", defaults=["levels"])
 
 
-# The suites in derivation order.  Each check calls its verify_* function
-# through the module-global name, so a replaced one takes effect.  Offset
-# level m rewrites paired level m (x*cot(x) rows 2m, 2m+1), and halving level
-# m gives halved level m (sec-tan rows 4m+1..4m+4), so each takes that depth.
-# Both also read offset-stream rows 4m..4m+3, past MAX_EXACT_DEPTH from offset level 16
-# on; a 4-row slice of degree-1 terms has no coefficient growth, so they add no depth.
+# The suites in derivation order.  ``check(m)`` decides levels 0..m (the series: orders
+# 0..m), ``depth(m)`` is the deepest stream row (b_k, a_(k+1)) that level m reads or
+# rewrites, and ``unit`` is what m counts: ``cfrac verify`` reports "<unit> 0..m" as
+# checked.  Each check calls its verify_* function through the module-global name, so a
+# replaced one takes effect.  Offset level m rewrites paired level m (x*cot(x) rows 2m,
+# 2m+1), and halving level m gives halved level m (sec-tan rows 4m+1..4m+4), so each
+# takes that depth.  Both also read offset-stream rows 4m..4m+3, past MAX_EXACT_DEPTH
+# from offset level 16 on; a 4-row slice of degree-1 terms has no coefficient growth,
+# so they add no depth.
 SUITES = {
     "pairing": Suite(lambda m: all(verify_pairing(j) for j in range(m + 1)), lambda m: 2 * m + 1, 8),
     "offset": Suite(lambda m: all(verify_offset_rewrite(k) for k in range(m + 1)), lambda m: 2 * m + 1, 5),

@@ -667,7 +667,7 @@ def test_option_table_fills_defaults_as_argparse_does():
     parser.add_argument("--f", type=Fraction, default=Fraction(1, 2))
     parser.add_argument("--s", default=argparse.SUPPRESS)
     parser.add_argument("--t", type=int, default=argparse.SUPPRESS)  # set only when given
-    table = cli._OptionTable.of(parser)
+    table = cli._OptionTable(parser)
     for argv in ([], ["--n", "3"], ["--f=1/3", "--s", "a"], ["--t", "5"]):
         assert table.parse(argv) == parser.parse_args(argv), argv
 

@@ -80,3 +80,20 @@ def test_every_public_name_resolves():
         "                  sorted(set(cfrac.__all__) - set(dir(cfrac))), raised]))"
     )
     assert seen == [[], True, True, True, [], True]
+
+
+def test_cfrac_loads_no_typing():
+    # -S keeps site (and a .pth it runs) from loading typing first; importing the stdlib
+    # modules cfrac uses first lets a Python whose own stdlib loads typing pass
+    proc = _fresh(
+        "-S", "-c",
+        "import sys\n"
+        "import argparse, collections, dataclasses, fractions, functools, gettext\n"
+        "import itertools, math, os, re, shutil\n"
+        "before = 'typing' in sys.modules\n"
+        "import cfrac, cfrac.cli, cfrac.exact\n"
+        "print(before, 'typing' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before, "importing cfrac loaded typing"
