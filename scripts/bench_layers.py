@@ -11,10 +11,12 @@ overhead of the exact fold weighs most, to 60.  The ``series_from_ratfunc``
 rows take depth 12 at the order exact-deep checks for it, where that
 workload's median case lies, and sec-tan 60 and xcot 33 at orders 60 and
 67; the ``exact-deep op`` row is one whole case, convergent and series.
-The ``fresh`` rows time a first call instead: ``convergent_exact`` on a
-new copy of the spec, which builds that copy's exact steps.  The ``dense``
-rows run each float kernel on a stream with no all-zero coefficient column,
-so on its generic loop, where a kernel's per-call dispatch weighs most.
+The ``fresh`` rows time a first call instead, on a new copy of the spec:
+``convergent_exact``, which builds that copy's exact steps, and
+``eval_lentz``, which builds its float table and starts again on each
+longer one.  The ``dense`` rows run each float kernel on a stream with no
+all-zero coefficient column, so on its generic loop, where a kernel's
+per-call dispatch weighs most.
 Each suite of ``exact.SUITES`` is timed at its default level, and each
 suite also at the deepest level ``exact.check_level`` accepts
 (``suite_caps``, read from the measured checkout and used on both sides).
@@ -120,6 +122,9 @@ def layers(cfrac, caps: dict) -> dict:
     calls["eval_forward(sec-tan, 1.0, 32)"] = lambda: cfrac.eval_forward(flat, 1.0, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
+    for spec, x in ((flat, 1.0), (xcot, 0.7)):  # cold: Lentz starts again as the new table grows
+        calls[f"eval_lentz(fresh {spec.name}, {x})"] = (
+            lambda s=spec, x=x: cfrac.eval_lentz(dataclasses.replace(s), x, 1e-12, 4096))
     # one row per kernel on a stream with no zero column
     calls["eval_backward(dense, 0.7, 32)"] = lambda: cfrac.eval_backward(dense, 0.7, 32)
     calls["eval_forward(dense, 0.7, 32)"] = lambda: cfrac.eval_forward(dense, 0.7, 32)
@@ -150,11 +155,9 @@ def layers(cfrac, caps: dict) -> dict:
         for level in (suite.default_level, caps[name]):
             calls[f"exact.SUITES[{name}].check({level})"] = lambda s=suite, m=level: s.check(m)
     cli = cfrac.cli
-    # the parse alone; a checkout older than cli._parse parsed with the top-level parser
-    parse = getattr(cli, "_parse", None) or (lambda argv: cli._build_parser().parse_args(argv))
     plain = ["eval", "sec-tan", "--x", "1"]  # the option table parses it; an abbreviation it does not
-    for argv in (plain, [*plain, "--meth", "adaptive"]):
-        calls[f"cli._parse({' '.join(argv)})"] = lambda argv=argv: parse(argv)
+    for argv in (plain, [*plain, "--meth", "adaptive"]):  # the parse alone
+        calls[f"cli._parse({' '.join(argv)})"] = lambda argv=argv: cli._parse(argv)
     for argv in (
         ["eval", "sec-tan", "--x", "1"],
         ["eval", "xcot", "--x=-17/8", "--method", "forward", "--format", "csv"],

@@ -316,7 +316,7 @@ def _eval_options(p: argparse.ArgumentParser) -> None:
         dest="rel_err",
         type=_positive_float,
         default=DEFAULT_REL_ERR,
-        help="target relative error for adaptive/lentz (default 1e-12)",
+        help=f"target relative error for adaptive/lentz (default {DEFAULT_REL_ERR})",
     )
     _add_format_flag(p)
 

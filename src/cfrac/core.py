@@ -38,8 +38,9 @@ under concurrent callers because it is never changed in place: a longer
 table is built from fresh lists, with its shape in row 0 of column a0,
 where no term lives, and replaces the old one in one assignment, so a
 reader never sees columns with another table's shape; a published column
-is never appended to.  Lentz, which grows the table in the middle of its
-loop, goes on in the loop compiled for the grown table's shape.
+is never appended to.  A kernel reads the one table it is given, and only
+the entry functions grow tables: ``eval_lentz`` runs Lentz again from step 1
+on a longer table when the rows run out before the stopping test passes.
 """
 
 from __future__ import annotations
@@ -228,15 +229,15 @@ def _kernels(name: str, template: str) -> list:
     """One kernel per table shape, each ``template`` compiled for its shape at its first call.
 
     In the template, ``$a_i`` and ``$b_i`` (i one of j, k, n) stand for the terms
-    a_i(x) and b_i(x) as ``_term`` writes them for the shape, and ``$shape`` for
-    the shape, so the source depends on the shape alone.  The compiled function
-    runs in this module's namespace, and the guard constants it compares with
-    are its default arguments, bound once.
+    a_i(x) and b_i(x) as ``_term`` writes them for the shape, so the source
+    depends on the shape alone.  A kernel is a leaf: it reads the table its
+    entry function sized and calls nothing that grows it.  It runs in this
+    module's namespace, its guard constants bound once as default arguments.
     """
     kernels = []
 
     def compiled(shape: int):
-        source = template.replace("$shape", str(shape))
+        source = template
         for term in ("a_j", "a_k", "a_n", "b_j", "b_k", "b_n"):
             source = source.replace(f"${term}", _term(term[0], term[2], shape))
         zero = " ".join(column for bit, column in enumerate(_COLUMNS) if shape >> bit & 1)
@@ -383,26 +384,22 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
     table = cf._table
     if len(table[0]) < 2:  # row 1 too, so that the shape covers a term of each column
         table = _rows(cf, 1)
+    while True:
+        report = _LENTZ[table[0][0]](table, x, eps, max_terms)
+        if report is not None:
+            return report
+        table = _rows(cf, len(table[0]))  # at least twice as long; start again from step 1
+
+
+# Lentz on one table: its report, or None when the rows run out before step ``max_terms``
+_LENTZ = _kernels("lentz", """
+def lentz(table, x, eps, max_terms, tiny=TINY_GUARD, neg_tiny=-TINY_GUARD):
     a0, a1, a2, b0, b1, b2 = table
     f = (b2[0] * x + b1[0]) * x + b0[0]
-    if abs(f) < TINY_GUARD:
-        f = TINY_GUARD
-    return _LENTZ[a0[0]](cf, table, x, eps, max_terms, 1, f, f, 0.0)
-
-
-# Lentz from step ``start`` on, given f, C and D of the step before it
-_LENTZ = _kernels("lentz", """
-def lentz(cf, table, x, eps, max_terms, start, f, c_prev, d_prev,
-          tiny=TINY_GUARD, neg_tiny=-TINY_GUARD):
-    a0, a1, a2, b0, b1, b2 = table
-    neg_eps, rows = -eps, len(a0)
-    for j in range(start, max_terms + 1):
-        if j == rows:  # read the table again, at least twice as long, and follow its shape
-            table = _rows(cf, j)
-            if table[0][0] != $shape:
-                return _LENTZ[table[0][0]](cf, table, x, eps, max_terms, j, f, c_prev, d_prev)
-            a0, a1, a2, b0, b1, b2 = table
-            rows = len(a0)
+    if neg_tiny < f < tiny:
+        f = tiny
+    c_prev, d_prev, neg_eps, rows = f, 0.0, -eps, len(a0)
+    for j in range(1, min(max_terms + 1, rows)):
         a_j = $a_j
         b_j = $b_j
         d_cur = b_j + a_j * d_prev
@@ -417,6 +414,8 @@ def lentz(cf, table, x, eps, max_terms, start, f, c_prev, d_prev,
         c_prev, d_prev = c_cur, d_cur
         if neg_eps < delta - 1.0 < eps:
             return EvalReport(value=f, depth=j, est_rel_err=abs(delta - 1.0), method="lentz")
+    if rows <= max_terms:
+        return None
     raise NoConvergence(f"Lentz did not converge within {max_terms} terms (x={x!r}, eps={eps})")
 """)
 

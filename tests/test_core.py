@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -105,6 +106,8 @@ def test_backward_xcot_reference_values():
 def test_backward_validates_depth():
     with pytest.raises(ValueError):
         eval_backward(xcot_spec(), 1.0, 0)
+    with pytest.raises(ValueError):
+        eval_forward(xcot_spec(), 1.0, 0)
 
 
 def test_backward_tail_guard():
@@ -179,6 +182,16 @@ def test_lentz_reference_values():
 
     report = eval_lentz(sec_tan_spec(), 1.0, 1e-14, 100)
     assert report.value == pytest.approx(SECTAN_1, rel=1e-12)
+
+    # tan(x) = x/(1 - x^2/(3 - x^2/(5 - ...))): b0 = 0 takes the tiny-value guard at f_0
+    tan = CfSpec(name="tan", leading=PolyTerm(0),
+                 termgen=lambda k: TermPair(a=PolyTerm(c1=1) if k == 1 else PolyTerm(c2=-1),
+                                            b=PolyTerm(2 * k - 1)))
+    for x in (0.3, -0.7, 1.2, 2.0):
+        report = eval_lentz(tan, x, 1e-14, 100)
+        assert (report.value, report.depth, report.est_rel_err) == _generic_lentz(
+            _generic_terms(tan, x, 100), 1e-14, 100)
+        assert abs(report.value - math.tan(x)) <= 1e-15 * abs(math.tan(x))
 
 
 def test_lentz_no_convergence():
@@ -432,6 +445,26 @@ def _generic_lentz(terms, eps, max_terms):
     return None
 
 
+def test_lentz_restarts_at_every_table_length():
+    """Lentz on a fresh stream whose table holds exactly L rows, L = 2..48, with the
+    budget one short of, at and one past the depth d where the generic iteration stops:
+    whether the rows run out before, at or after step d, a restart on a longer table
+    gives the generic report, or NoConvergence as it does."""
+    for stream in (sec_tan_spec(), xcot_spec(), expansions._OFFSET):
+        for x in (0.3, -1.1, 2.5, -6.0):
+            terms = _generic_terms(stream, x, 100)
+            depth = _generic_lentz(terms, 1e-14, 100)[1]
+            for max_terms in (depth - 1, depth, depth + 1):
+                expected = _generic_lentz(terms, 1e-14, max_terms)
+                expected = "NoConvergence" if expected is None else (
+                    expected[0].hex(), expected[1], expected[2].hex())
+                for rows in range(2, 49):
+                    spec = dataclasses.replace(stream)
+                    assert len(core._rows(spec, rows - 1)[0]) == rows
+                    assert _outcome(lambda: eval_lentz(spec, x, 1e-14, max_terms)) == expected, (
+                        stream.name, x, max_terms, rows)
+
+
 LATE_XS = (0.5, -3.0, 12.0, 30.0, -20.0)
 
 
@@ -439,7 +472,7 @@ def test_kernels_follow_a_shape_that_changes_with_depth():
     """Each kernel, on a fresh table of a stream whose a_k gains an x^2 and whose
     b_k gains an x coefficient at k = 40, gives the generic Horner fold's bits:
     at depths 30 and 80, the latter also on a table first grown to 30 only, and
-    in Lentz, which grows the table in the middle of its loop."""
+    in Lentz, which starts again on a longer table of the new shape."""
     past_40 = 0
     for x in LATE_XS:
         terms = _generic_terms(_late_spec(), x, 200)
@@ -507,13 +540,10 @@ def test_every_shape_gives_the_bits_of_the_generic_kernel():
         table = core._rows(spec, 16)
         assert table[0][0] == shape
         for x in xs:
-            f = (table[5][0] * x + table[4][0]) * x + table[3][0]
-            f = f if abs(f) >= core.TINY_GUARD else core.TINY_GUARD
-
             def outcomes(s):
                 return [_outcome(lambda: core._FOLD[s](table, x, start, start + depth, tail))
                         for start in (0, 3) for depth in (1, 2, 9) for tail in (None, 2.5, -1e-290)] + [
-                    _outcome(lambda: core._LENTZ[s](spec, table, x, 1e-14, 12, 1, f, f, 0.0))] + [
+                    _outcome(lambda: core._LENTZ[s](table, x, 1e-14, 12))] + [
                     _outcome(lambda: core._FORWARD[s](table, x, depth)) for depth in (1, 2, 12)]
 
             assert outcomes(shape) == outcomes(0), (shape, x)

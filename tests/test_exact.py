@@ -125,6 +125,8 @@ def test_ratfunc_arithmetic():
         hash(f)
     with pytest.raises(AttributeError):
         f.num = X
+    with pytest.raises(AttributeError):
+        X.coeffs = (1,)
     assert RatFunc(Poly((3,))) != 3  # only another RatFunc compares by value
 
 

@@ -66,6 +66,11 @@ def test_paired_value_tail_guard_and_validation():
         paired_value(-1, 1.0, 3)
     with pytest.raises(ValueError):
         paired_value(0, 1.0, -1)
+    for value in (offset_value, halved_value):
+        with pytest.raises(ValueError):
+            value(-1, 1.0, 3)
+        with pytest.raises(ValueError):
+            value(0, 1.0, -1)
 
 
 def test_offset_value_base_cases():

@@ -10,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "eval_lentz(dense, 0.7)")
+FRESH_LENTZ_ROWS = ("eval_lentz(fresh sec-tan, 1.0)", "eval_lentz(fresh xcot, 0.7)")  # restarts included
 CLI_ROWS = (  # whole requests: a csv record, two text tables and a usage error
     "cli.main(eval xcot --x=-17/8 --method forward --format csv)",
     "cli.main(convergents sec-tan --x=0.7 --depth 24)",
@@ -51,6 +52,7 @@ def test_study_script_runs(script, args):
             "one-shot import cfrac",  # new interpreters
             "one-shot cli.main(eval sec-tan --x 1)",
             *DENSE_ROWS,  # each kernel on its generic loop
+            *FRESH_LENTZ_ROWS,
             *CLI_ROWS,
         } <= set(times)
         assert all(t > 0 for t in times.values())
@@ -59,5 +61,5 @@ def test_study_script_runs(script, args):
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
                     "exact-deep op(sec-tan 12, 12) [ratio]",
                     "one-shot import cfrac [baseline]",
-                    *(f"{row} [ratio]" for row in DENSE_ROWS + CLI_ROWS)} <= set(times)
+                    *(f"{row} [ratio]" for row in DENSE_ROWS + FRESH_LENTZ_ROWS + CLI_ROWS)} <= set(times)
 
