@@ -11,7 +11,8 @@ overhead of the exact fold weighs most, to 60.  The ``series_from_ratfunc``
 rows take depth 12 at the order exact-deep checks for it, where that
 workload's median case lies, and sec-tan 60 and xcot 33 at orders 60 and
 67; the ``exact-deep op`` row is one whole case, convergent and series.
-The ``fresh`` rows time a first call instead, on a new copy of the spec:
+The x*cot(x) rows at x = 20 take the most steps per call, where a per-step
+cost weighs most.  The ``fresh`` rows time a first call instead, on a new copy of the spec:
 ``convergent_exact``, which builds that copy's exact steps, and
 ``eval_lentz``, which builds its float table and starts again on each
 longer one.  The ``dense`` rows run each float kernel on a stream with no
@@ -119,9 +120,11 @@ def layers(cfrac, caps: dict) -> dict:
     # a long driver call: its probes reach depth 128
     calls["eval_adaptive(xcot, 20.0)"] = lambda: cfrac.eval_adaptive(xcot, 20.0, 1e-12)
     calls["eval_forward(xcot, 0.7, 32)"] = lambda: cfrac.eval_forward(xcot, 0.7, 32)
+    calls["eval_forward(xcot, 20.0, 64)"] = lambda: cfrac.eval_forward(xcot, 20.0, 64)
     calls["eval_forward(sec-tan, 1.0, 32)"] = lambda: cfrac.eval_forward(flat, 1.0, 32)
     calls["eval_lentz(sec-tan, 1.0)"] = lambda: cfrac.eval_lentz(flat, 1.0, 1e-12, 4096)
     calls["eval_lentz(xcot, 0.7)"] = lambda: cfrac.eval_lentz(xcot, 0.7, 1e-12, 4096)
+    calls["eval_lentz(xcot, 20.0)"] = lambda: cfrac.eval_lentz(xcot, 20.0, 1e-12, 4096)
     for spec, x in ((flat, 1.0), (xcot, 0.7)):  # cold: Lentz starts again as the new table grows
         calls[f"eval_lentz(fresh {spec.name}, {x})"] = (
             lambda s=spec, x=x: cfrac.eval_lentz(dataclasses.replace(s), x, 1e-12, 4096))

@@ -21,26 +21,30 @@ columns a0, a1, a2, b0, b1, b2 of binary64 coefficients indexed by k,
 filled from ``termgen`` up to the deepest index used so far.  The table
 also holds its shape: which of the six columns are all zero over the rows
 built so far (the sec-tan stream's a_k = +-x and b_k = k or 2 leave only a1
-and b0, x*cot(x)'s a_k = -x^2 and b_k = 2k+1 only a2 and b0).  Each
+and b0, x*cot(x)'s a_k = -x^2 and b_k = 2k+1 only a2 and b0), and whether
+a_k is the same polynomial on every term row (x*cot(x)'s is).  Each
 evaluator's loop is written once, as a template, and compiled once per
-shape (``_kernels``) with the two term expressions written for that shape;
-an evaluator runs the loop compiled for the shape of the table it reads.
+shape (``_kernels``) with the two term expressions written for that shape,
+and a constant a_k computed once, before the loop; an evaluator runs the
+loop compiled for the shape of the table it reads.
 A term is evaluated by float Horner, as ``PolyTerm.__call__`` does for a
 float x, and gives the bits of the generic form (c2*x + c1)*x + c0 however
 its zero columns are written: a leading zero column is dropped, since
 0.0*x + c == c for finite x, and a later one stays as ``+ 0.0``, which
 turns a -0.0 into 0.0 as adding the column's 0.0 does.  So the sec-tan
-step is ``b0[j] + (a1[k] * x + 0.0) / r``, and a stream with no zero column
-runs the generic loop.  The loops test their per-step guards by
-comparisons with constants bound to locals: ``-c < v < c`` for
-``abs(v) < c``, false for a nan v as that is.  The shared state is safe
-under concurrent callers because it is never changed in place: a longer
-table is built from fresh lists, with its shape in row 0 of column a0,
-where no term lives, and replaces the old one in one assignment, so a
-reader never sees columns with another table's shape; a published column
-is never appended to.  A kernel reads the one table it is given, and only
-the entry functions grow tables: ``eval_lentz`` runs Lentz again from step 1
-on a longer table when the rows run out before the stopping test passes.
+step is ``b0[j] + (a1[k] * x + 0.0) / r``, x*cot(x)'s ``b0[j] + a / r``
+with ``a = (a2[1] * x + 0.0) * x + 0.0`` bound before the loop, and a
+stream with no zero column and a varying a_k runs the generic loop.  The
+loops test their per-step guards by comparisons with constants bound to
+locals: ``-c < v < c`` for ``abs(v) < c``, false for a nan v as that is.
+The shared state is safe under concurrent callers because it is never
+changed in place: a longer table is built from fresh lists, with its shape
+in row 0 of column a0, where no term lives, and replaces the old one in one
+assignment, so a reader never sees columns with another table's shape; a
+published column is never appended to.  A kernel reads the one table it is
+given, and only the entry functions grow tables: ``eval_lentz`` runs Lentz
+again from step 1 on a longer table when the rows run out before the
+stopping test passes.
 """
 
 from __future__ import annotations
@@ -180,6 +184,7 @@ def finite_float(x) -> float:
 
 
 _COLUMNS = ("a0", "a1", "a2", "b0", "b1", "b2")
+_SAME_A = 1 << 6  # shape bit: a_k is one polynomial on every term row, two rows at least
 
 
 def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
@@ -187,7 +192,10 @@ def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
 
     Row 0 holds ``leading`` as b and, in column a0, where no term lives, the
     table's shape: bit i set when column i of ``_COLUMNS`` is all zero over the
-    rows of its terms (from 1 for a, from 0 for b).  So the shape is published
+    rows of its terms (from 1 for a, from 0 for b), and ``_SAME_A`` when the
+    table has two term rows or more and each a column holds one value over them.
+    Once a row differs every longer table differs too, so growth compares only
+    the new rows with row 1, and only while the bit holds.  So the shape is published
     with the columns in one assignment, and the table stays a plain tuple,
     which a kernel unpacks faster than any subclass of it.
     """
@@ -203,8 +211,11 @@ def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
         for column, c in zip(grown, pair.a.coefficients() + pair.b.coefficients()):
             c = float(c)
             column.append(memo.setdefault(c, c))
+    n, new = len(grown[0]), max(rows, 2)  # the rows not yet compared with row 1
+    same = n > 2 and (rows < 3 or grown[0][0] & _SAME_A) and all(
+        column[new:] == column[1:2] * (n - new) for column in grown[:3])
     grown[0][0] = sum(1 << i for i, column in enumerate(grown)
-                      if not any(column[1:] if i < 3 else column))
+                      if not any(column[1:] if i < 3 else column)) | _SAME_A * same
     object.__setattr__(cf, "_table", grown)
     return grown
 
@@ -213,7 +224,10 @@ def _term(c: str, i: str, shape: int) -> str:
     """Source of c_i(x) by float Horner, (c2[i] * x + c1[i]) * x + c0[i] for c "a" or "b",
     with each column that ``shape`` marks all zero written as 0.0, and a leading one
     dropped.  Both keep the generic form's bits for a finite x: 0.0*x + v == v, and
-    a later ``+ 0.0`` turns a -0.0 into 0.0 as adding the column's 0.0 does."""
+    a later ``+ 0.0`` turns a -0.0 into 0.0 as adding the column's 0.0 does.  For a
+    shape with ``_SAME_A``, a_i is the name ``a``, which its kernel binds before its loop."""
+    if c == "a" and shape & _SAME_A:
+        return "a"
     expr = ""
     for power in (2, 1, 0):
         column = f"{c}{power}"
@@ -230,7 +244,11 @@ def _kernels(name: str, template: str) -> list:
 
     In the template, ``$a_i`` and ``$b_i`` (i one of j, k, n) stand for the terms
     a_i(x) and b_i(x) as ``_term`` writes them for the shape, so the source
-    depends on the shape alone.  A kernel is a leaf: it reads the table its
+    depends on the shape alone.  For a shape with ``_SAME_A`` one line before the
+    template's loop binds ``a`` to a_1(x), written as ``_term`` writes it for the
+    shape's zero columns, so the loop reads no a column: x*cot(x)'s fold step is
+    ``b0[j] + a / r`` with ``a = (a2[1] * x + 0.0) * x + 0.0``, the same bits as
+    before, computed once per call.  A kernel is a leaf: it reads the table its
     entry function sized and calls nothing that grows it.  It runs in this
     module's namespace, its guard constants bound once as default arguments.
     """
@@ -240,8 +258,11 @@ def _kernels(name: str, template: str) -> list:
         source = template
         for term in ("a_j", "a_k", "a_n", "b_j", "b_k", "b_n"):
             source = source.replace(f"${term}", _term(term[0], term[2], shape))
+        if shape & _SAME_A:
+            source = source.replace("    for ", f"    a = {_term('a', '1', shape ^ _SAME_A)}\n    for ", 1)
         zero = " ".join(column for bit, column in enumerate(_COLUMNS) if shape >> bit & 1)
-        code = compile(source, f"<cfrac.core {name} kernel, zero columns: {zero or 'none'}>", "exec")
+        same = ", a_k the same on every row" if shape & _SAME_A else ""
+        code = compile(source, f"<cfrac.core {name} kernel, zero columns: {zero or 'none'}{same}>", "exec")
         namespace: dict = {}
         exec(code, globals(), namespace)
         return namespace[name]
@@ -252,7 +273,7 @@ def _kernels(name: str, template: str) -> list:
             return kernel(*args)
         return call
 
-    kernels.extend(map(first_call, range(64)))
+    kernels.extend(map(first_call, range(2 * _SAME_A)))
     return kernels
 
 
@@ -382,8 +403,8 @@ def eval_lentz(cf: CfSpec, x: float, eps: float, max_terms: int) -> EvalReport:
         raise ValueError(f"max_terms must be >= 2, got {max_terms}")
     x = finite_float(x)
     table = cf._table
-    if len(table[0]) < 2:  # row 1 too, so that the shape covers a term of each column
-        table = _rows(cf, 1)
+    if len(table[0]) < 4:  # rows 1-3 too: a term of each column, and both signs of a +-x
+        table = _rows(cf, 3)  # stream's a_k, so that its shape has no _SAME_A
     while True:
         report = _LENTZ[table[0][0]](table, x, eps, max_terms)
         if report is not None:

@@ -465,52 +465,87 @@ def test_lentz_restarts_at_every_table_length():
                         stream.name, x, max_terms, rows)
 
 
-LATE_XS = (0.5, -3.0, 12.0, 30.0, -20.0)
+LATE_XS = (0.5, -3.0, 12.0, 30.0, -20.0, -45.0)
 
 
-def test_kernels_follow_a_shape_that_changes_with_depth():
-    """Each kernel, on a fresh table of a stream whose a_k gains an x^2 and whose
-    b_k gains an x coefficient at k = 40, gives the generic Horner fold's bits:
-    at depths 30 and 80, the latter also on a table first grown to 30 only, and
-    in Lentz, which starts again on a longer table of the new shape."""
+def _follows_late_shape(late_spec):
+    """Each kernel on fresh tables of ``late_spec()``, whose shape changes at k = 40, gives
+    the generic Horner fold's bits: at depths 30 and 80, the latter also on a table first
+    grown to 30 only, and in Lentz, which starts again on a longer table of the new shape,
+    also from a table grown to 30."""
     past_40 = 0
     for x in LATE_XS:
-        terms = _generic_terms(_late_spec(), x, 200)
+        terms = _generic_terms(late_spec(), x, 200)
         for depth in (30, 80):
-            assert eval_backward(_late_spec(), x, depth) == _generic_backward(terms, depth)
-            assert eval_forward(_late_spec(), x, depth) == _generic_forward(terms, depth)
-        spec = _late_spec()
+            assert eval_backward(late_spec(), x, depth) == _generic_backward(terms, depth)
+            assert eval_forward(late_spec(), x, depth) == _generic_forward(terms, depth)
+        spec = late_spec()
         eval_backward(spec, x, 30)
         eval_forward(spec, x, 30)
         assert eval_backward(spec, x, 80) == _generic_backward(terms, 80)
-        spec = _late_spec()
+        spec = late_spec()
         eval_forward(spec, x, 30)
         assert eval_forward(spec, x, 80) == _generic_forward(terms, 80)
         for eps in (1e-14, 1e-16):
-            report = eval_lentz(_late_spec(), x, eps, 200)
             expected = _generic_lentz(terms, eps, 200)
-            assert (report.value, report.depth, report.est_rel_err) == expected
+            grown = late_spec()
+            core._rows(grown, 30)
+            for spec in (late_spec(), grown):
+                report = eval_lentz(spec, x, eps, 200)
+                assert (report.value, report.depth, report.est_rel_err) == expected
             past_40 += report.depth > 40
     assert past_40 >= 4  # rows of both shapes read in one call
 
 
+def test_kernels_follow_a_shape_that_changes_with_depth():
+    """A stream whose a_k gains an x^2 and whose b_k gains an x coefficient at k = 40."""
+    _follows_late_shape(_late_spec)
+
+
+def _late_xcot_spec() -> CfSpec:
+    """x*cot(x)'s terms, but a_k = -x^2 + x/8 from k = 40: a_k is the same on rows 1-39 only."""
+    return CfSpec(name="late xcot", leading=PolyTerm(1), termgen=lambda k: TermPair(
+        a=PolyTerm(0, Fraction(1, 8) if k >= 40 else 0, -1), b=PolyTerm(2 * k + 1)))
+
+
+def test_kernels_follow_a_numerator_that_stops_being_the_same():
+    """The shape of ``_late_xcot_spec`` has ``_SAME_A`` from two term rows through row 39
+    and not past it, on a fresh table and on one grown in steps, and its kernels give the
+    generic bits."""
+    same = core._SAME_A | 0b110011  # a0 a1 b1 b2 all zero
+    for steps in ((39,), (18, 39), (1, 2, 9, 39)):  # 40, 19 + 21 and 2 + 3 + 6 + 29 rows
+        spec = _late_xcot_spec()
+        for last in steps:
+            table = core._rows(spec, last)
+            assert table[0][0] == (same if len(table[0]) > 2 else same ^ core._SAME_A)
+        assert len(spec._table[0]) == 40
+        assert core._rows(spec, 40)[0][0] == same ^ core._SAME_A ^ 0b10  # a1 = 1/8 from k = 40
+    assert core._rows(_late_xcot_spec(), 40)[0][0] == 0b110001
+    _follows_late_shape(_late_xcot_spec)
+
+
 def test_shared_table_under_concurrent_growth_of_a_changing_shape():
-    """``test_shared_table_under_concurrent_growth`` on a stream whose shape changes
-    at k = 40, against the generic Horner fold."""
+    """``test_shared_table_under_concurrent_growth`` on streams whose shape changes
+    at k = 40, one of them by losing ``_SAME_A``, against the generic Horner fold."""
     xs, depths = (0.7, 12.0), range(1, 161)
-    terms = {x: _generic_terms(_late_spec(), x, depths[-1]) for x in xs}
-    expected = {(x, d): _generic_backward(terms[x], d) for x in xs for d in depths}
-    _grow_concurrently(_late_spec(), _late_spec(), xs, depths, expected)
+    for late_spec in (_late_spec, _late_xcot_spec):
+        terms = {x: _generic_terms(late_spec(), x, depths[-1]) for x in xs}
+        expected = {(x, d): _generic_backward(terms[x], d) for x in xs for d in depths}
+        _grow_concurrently(late_spec(), late_spec(), xs, depths, expected)
 
 
-def _shaped_spec(shape: int) -> CfSpec:
-    """A stream whose columns that ``shape`` marks are all zero, and every other entry nonzero."""
-    def terms(k, bits):
-        return PolyTerm(*(0 if bits >> i & 1 else Fraction((-1) ** (k + i) * (k + i + 1), i + 2)
-                      for i in range(3)))
+def _shaped_spec(shape: int, varying=(0, 1, 2)) -> CfSpec:
+    """A stream whose columns that ``shape`` marks are all zero, and every other entry nonzero.
 
-    return CfSpec(name=f"shape {shape}", leading=terms(0, shape >> 3),
-                  termgen=lambda k: TermPair(a=terms(k, shape), b=terms(k, shape >> 3)))
+    Each b column changes with k, and so does each a column in ``varying``, unless
+    ``shape`` has ``_SAME_A``; every other a column holds its value at k = 1."""
+    def terms(k, bits, varying=(0, 1, 2)):
+        return PolyTerm(*(0 if bits >> i & 1 else Fraction((-1) ** (n + i) * (n + i + 1), i + 2)
+                          for i, n in ((i, k if i in varying else 1) for i in range(3))))
+
+    varying = () if shape & core._SAME_A else varying
+    return CfSpec(name=f"shape {shape}", leading=terms(0, shape >> 3 & 7),
+                  termgen=lambda k: TermPair(a=terms(k, shape, varying), b=terms(k, shape >> 3 & 7)))
 
 
 def _outcome(thunk):
@@ -529,14 +564,19 @@ def test_every_shape_gives_the_bits_of_the_generic_kernel():
     """Each kernel compiled for a shape gives the bits (or the exception) of the kernel
     compiled for no zero column, today's generic Horner loop, on the same table:
     at signed zeros, subnormals, and where x*x underflows or overflows.  At x = +-1e-170
-    a -0.0 that a dropped ``+ 0.0`` would leave shows in a first convergent."""
+    a -0.0 that a dropped ``+ 0.0`` would leave shows in a first convergent.  The
+    shapes with ``_SAME_A`` come from streams whose a_k does not depend on k; a stream
+    in which one a column alone changes with k has no ``_SAME_A``, whichever it is."""
     assert core._term("a", "k", 0) == "(a2[k] * x + a1[k]) * x + a0[k]"
     assert core._term("b", "j", 0) == "(b2[j] * x + b1[j]) * x + b0[j]"
+    assert core._term("a", "k", core._SAME_A | 0b110011) == "a"
+    assert core._term("b", "j", core._SAME_A | 0b110011) == "b0[j]"
     xs = [0.7, -1.3, 30.0, 0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-170, -1e-170, 1e20, -1e200]
-    for shape in range(64):
+    one_varying = [(shape, (i,)) for shape in range(7) for i in range(3) if not shape >> i & 1]
+    for shape, varying in [(shape, (0, 1, 2)) for shape in range(2 * core._SAME_A)] + one_varying:
         if shape & 7 == 7:  # every a column zero: a_k = 0 is no term
             continue
-        spec = _shaped_spec(shape)
+        spec = _shaped_spec(shape, varying)
         table = core._rows(spec, 16)
         assert table[0][0] == shape
         for x in xs:
@@ -549,16 +589,37 @@ def test_every_shape_gives_the_bits_of_the_generic_kernel():
             assert outcomes(shape) == outcomes(0), (shape, x)
 
 
+def test_regular_fraction_runs_the_kernels_of_a_constant_numerator():
+    """sqrt(2) = 1 + 1/(2 + 1/(2 + ...)), a_k = 1 and b_k = 2 on every row: each kernel
+    gives the generic bits at every x, and the adaptive fold reaches sqrt(2) itself."""
+    spec = CfSpec(name="sqrt 2", leading=PolyTerm(1),
+                  termgen=lambda k: TermPair(a=PolyTerm(1), b=PolyTerm(2)))
+    for x in (0.0, 1.5, -3.0):
+        terms = _generic_terms(spec, x, 64)
+        for depth in (1, 2, 5, 64):
+            assert eval_backward(spec, x, depth) == _generic_backward(terms, depth)
+            assert eval_forward(spec, x, depth) == _generic_forward(terms, depth)
+        for eps in (1e-8, 1e-15):
+            report = eval_lentz(dataclasses.replace(spec), x, eps, 64)
+            assert (report.value, report.depth, report.est_rel_err) == _generic_lentz(terms, eps, 64)
+    assert spec._table[0][0] == core._SAME_A | 0b110110  # a1 a2 b1 b2 all zero
+    report = eval_adaptive(spec, 0.0, 1e-15)
+    assert (report.value, report.depth) == (math.sqrt(2), 64)
+
+
 def test_kernels_are_compiled_once_per_shape():
-    """The sec-tan and x*cot(x) steps drop their zero columns; one kernel per shape, named by it."""
-    for spec, step in ((sec_tan_spec(), "(b0[j]) + (a1[k] * x + 0.0) / r"),
-                       (xcot_spec(), "(b0[j]) + ((a2[k] * x + 0.0) * x + 0.0) / r")):
+    """The sec-tan and x*cot(x) steps drop their zero columns, and x*cot(x)'s a_k = -x^2,
+    the same on every row, is computed once before the loop; one kernel per shape, named by it."""
+    for spec, step, zero, same in (
+            (sec_tan_spec(), "(b0[j]) + (a1[k] * x + 0.0) / r", "a0 a2 b1 b2", ""),
+            (xcot_spec(), "(b0[j]) + (a) / r", "a0 a1 b1 b2", ", a_k the same on every row")):
         eval_backward(spec, 0.7, 8)
         shape = spec._table[0][0]
         kernel = core._FOLD[shape]
         assert f"r = ({core._term('b', 'j', shape)}) + ({core._term('a', 'k', shape)}) / r" == f"r = {step}"
-        zero = [c for c in ("a0", "a1", "a2", "b0", "b1", "b2") if f"{c}[" not in step]
-        assert kernel.__code__.co_filename == f"<cfrac.core fold kernel, zero columns: {' '.join(zero)}>"
+        assert kernel.__code__.co_filename == f"<cfrac.core fold kernel, zero columns: {zero}{same}>"
+        if same:  # the line before the loop
+            assert core._term("a", "1", shape ^ core._SAME_A) == "(a2[1] * x + 0.0) * x + 0.0"
         eval_backward(spec, -1.3, 16)
         assert core._FOLD[spec._table[0][0]] is kernel
 

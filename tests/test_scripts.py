@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "eval_lentz(dense, 0.7)")
 FRESH_LENTZ_ROWS = ("eval_lentz(fresh sec-tan, 1.0)", "eval_lentz(fresh xcot, 0.7)")  # restarts included
+LARGE_X_ROWS = ("eval_forward(xcot, 20.0, 64)", "eval_lentz(xcot, 20.0)")  # the most steps per call
 CLI_ROWS = (  # whole requests: a csv record, two text tables and a usage error
     "cli.main(eval xcot --x=-17/8 --method forward --format csv)",
     "cli.main(convergents sec-tan --x=0.7 --depth 24)",
@@ -53,6 +54,7 @@ def test_study_script_runs(script, args):
             "one-shot cli.main(eval sec-tan --x 1)",
             *DENSE_ROWS,  # each kernel on its generic loop
             *FRESH_LENTZ_ROWS,
+            *LARGE_X_ROWS,
             *CLI_ROWS,
         } <= set(times)
         assert all(t > 0 for t in times.values())
@@ -61,5 +63,5 @@ def test_study_script_runs(script, args):
             assert {row, f"{row} [baseline]", f"{row} [ratio]", "eval_adaptive(xcot, 20.0) [ratio]",
                     "exact-deep op(sec-tan 12, 12) [ratio]",
                     "one-shot import cfrac [baseline]",
-                    *(f"{row} [ratio]" for row in DENSE_ROWS + FRESH_LENTZ_ROWS + CLI_ROWS)} <= set(times)
+                    *(f"{row} [ratio]" for row in DENSE_ROWS + FRESH_LENTZ_ROWS + LARGE_X_ROWS + CLI_ROWS)} <= set(times)
 
