@@ -11,11 +11,11 @@ overhead of the exact fold weighs most, to 60.  The ``series_from_ratfunc``
 rows take depth 12 at the order exact-deep checks for it, where that
 workload's median case lies, and sec-tan 60 and xcot 33 at orders 60 and
 67; the ``exact-deep op`` row is one whole case, convergent and series.
-The x*cot(x) rows at x = 20 take the most steps per call, where a per-step
-cost weighs most.  The ``fresh`` rows time a first call instead, on a new copy of the spec:
-``convergent_exact``, which builds that copy's exact steps, and
-``eval_lentz``, which builds its float table and starts again on each
-longer one.  The ``dense`` rows run each float kernel on a stream with no
+The rows at x = 20 take the most steps per call, where a per-step cost
+weighs most and an adaptive call's fixed cost least.  The ``fresh`` rows
+time a first call instead, on a new copy of the spec: ``convergent_exact``,
+which builds that copy's exact steps, and ``eval_lentz``, which builds its
+float table and starts again on each longer one.  The ``dense`` rows run each float kernel on a stream with no
 all-zero coefficient column, so on its generic loop, where a kernel's
 per-call dispatch weighs most.
 Each suite of ``exact.SUITES`` is timed at its default level, and each
@@ -114,6 +114,9 @@ def layers(cfrac, caps: dict) -> dict:
         "sec_tan(1.0)": lambda: cfrac.sec_tan(1.0),
         "eval_adaptive(sec-tan, 1.0)": lambda: cfrac.eval_adaptive(flat, 1.0, 1e-12),
         "eval_adaptive(xcot, 0.7)": lambda: cfrac.eval_adaptive(xcot, 0.7, 1e-12),
+        # |x| in [2, 30], float-eval's costliest stratum, where the folds outweigh the doubling loop
+        "sec_tan(20.0)": lambda: cfrac.sec_tan(20.0),
+        "eval_adaptive(sec-tan, 20.0)": lambda: cfrac.eval_adaptive(flat, 20.0, 1e-12),
     }
     for depth in (16, 32, 64):
         calls[f"eval_backward(xcot, 0.7, {depth})"] = lambda d=depth: cfrac.eval_backward(xcot, 0.7, d)

@@ -195,12 +195,7 @@ def _evaluate(spec: CfSpec, x: float, args) -> EvalReport:
         convergents = eval_forward(spec, x, depth)
         value = convergents[-1]
         previous = convergents[-2] if depth > 1 else _fold(spec, x, 0, 0)
-    return EvalReport(
-        value=value,
-        depth=depth,
-        est_rel_err=relative_difference(value, previous),
-        method=args.method,
-    )
+    return EvalReport(value, depth, relative_difference(value, previous), args.method)
 
 
 def _cmd_eval(args) -> int:

@@ -50,6 +50,7 @@ stopping test passes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -161,18 +162,20 @@ class CfSpec:
     _steps: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(namedtuple("EvalReport", "value depth est_rel_err method")):
     """Numeric evaluation result with an a posteriori error estimate.
 
-    ``est_rel_err`` is the relative difference between the last two
-    approximants that were compared; it is never left unmeasured.
+    ``method`` is "backward", "forward" or "lentz".  ``est_rel_err`` is the
+    relative difference between the last two approximants compared: for
+    ``eval_adaptive`` and ``sec_tan`` the last two probes, for a fixed-depth
+    CLI method depth against depth - 1, and for ``eval_lentz`` |Delta_n - 1|
+    at the step that stopped it.  It is always measured, and it is not a
+    proved bound: two probes can agree bit for bit (an estimate of 0.0) while
+    both are wrong.  A report is an immutable 4-tuple (value, depth,
+    est_rel_err, method) with those field names.
     """
 
-    value: float
-    depth: int
-    est_rel_err: float
-    method: str  # "backward", "forward" or "lentz"
+    __slots__ = ()
 
 
 def finite_float(x) -> float:
@@ -251,9 +254,9 @@ def _kernels(name: str, template: str) -> list:
     before, computed once per call.  A kernel is a leaf: it reads the table its
     entry function sized and calls nothing that grows it.  It runs in this
     module's namespace, its guard constants bound once as default arguments.
+    Until a shape's first call its index holds the one stub of the list, which
+    compiles the shape in row 0 of its table and installs the kernel there.
     """
-    kernels = []
-
     def compiled(shape: int):
         source = template
         for term in ("a_j", "a_k", "a_n", "b_j", "b_k", "b_n"):
@@ -267,13 +270,12 @@ def _kernels(name: str, template: str) -> list:
         exec(code, globals(), namespace)
         return namespace[name]
 
-    def first_call(shape: int):
-        def call(*args):
-            kernels[shape] = kernel = compiled(shape)
-            return kernel(*args)
-        return call
+    def call(table, *args):
+        shape = table[0][0]
+        kernels[shape] = kernel = compiled(shape)
+        return kernel(table, *args)
 
-    kernels.extend(map(first_call, range(2 * _SAME_A)))
+    kernels = [call] * (2 * _SAME_A)
     return kernels
 
 
@@ -434,7 +436,7 @@ def lentz(table, x, eps, max_terms, tiny=TINY_GUARD, neg_tiny=-TINY_GUARD):
         f *= delta
         c_prev, d_prev = c_cur, d_cur
         if neg_eps < delta - 1.0 < eps:
-            return EvalReport(value=f, depth=j, est_rel_err=abs(delta - 1.0), method="lentz")
+            return EvalReport(f, j, abs(delta - 1.0), "lentz")
     if rows <= max_terms:
         return None
     raise NoConvergence(f"Lentz did not converge within {max_terms} terms (x={x!r}, eps={eps})")
@@ -446,17 +448,17 @@ def relative_difference(v_new: float, v_old: float) -> float:
     return abs(v_new - v_old) / max(abs(v_new), POLE_THRESHOLD)
 
 
-def _deepen(probe, x: float, target_rel_err: float, limit: int) -> EvalReport:
-    """``probe(n)`` at n = 4, 8, 16, ... <= ``limit`` until one agrees with the last."""
+def _deepen(probe, cf: CfSpec, x: float, target_rel_err: float, limit: int) -> EvalReport:
+    """``probe(cf, x, n)`` at n = 4, 8, 16, ... <= ``limit`` until one agrees with the last."""
     if not target_rel_err > 0:  # also rejects nan
         raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
-    previous = probe(4)
+    previous = probe(cf, x, 4)
     n = 8
     while n <= limit:
-        value = probe(n)
+        value = probe(cf, x, n)
         est = relative_difference(value, previous)
         if est <= target_rel_err:
-            return EvalReport(value=value, depth=n, est_rel_err=est, method="backward")
+            return EvalReport(value, n, est, "backward")
         previous = value
         n *= 2
     raise NoConvergence(f"no agreement within {target_rel_err} up to depth {limit} (x={x!r})")
@@ -478,4 +480,4 @@ def eval_adaptive(
     Raises NoConvergence when ``max_depth`` is passed without agreement;
     DivisionNearZero propagates from the backward recurrence.
     """
-    return _deepen(lambda depth: eval_backward(cf, x, depth), x, target_rel_err, max_depth)
+    return _deepen(eval_backward, cf, x, target_rel_err, max_depth)

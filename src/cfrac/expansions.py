@@ -124,6 +124,11 @@ def halved_value(k: int, x: float, levels: int, tail: float | None = None) -> fl
     return _fold(sec_tan_spec(), x, 4 * k + 1, 4 * levels + 3, tail)
 
 
+def _levels(spec: CfSpec, x: float, n: int) -> float:
+    """``sec_tan``'s probe: n levels, the sec-tan stream to depth 4n + 4 closed by 4n + 5 - x/2."""
+    return eval_backward(spec, x, 4 * n + 4, 4 * n + 5 - x / 2)
+
+
 def sec_tan(
     x: float,
     target_rel_err: float = 1e-12,
@@ -141,6 +146,4 @@ def sec_tan(
     (e.g. near the poles x = pi/2 + 2*pi*n) and DivisionNearZero when
     halved_0(x) underflows (the true value diverges there).
     """
-    x, spec = finite_float(x), sec_tan_spec()
-    return _deepen(lambda n: eval_backward(spec, x, 4 * n + 4, tail=4 * n + 5 - x / 2),
-                   x, target_rel_err, max_levels)
+    return _deepen(_levels, sec_tan_spec(), finite_float(x), target_rel_err, max_levels)

@@ -11,6 +11,7 @@ import pytest
 from cfrac import (
     CfSpec,
     DivisionNearZero,
+    EvalReport,
     NoConvergence,
     PolyTerm,
     TermPair,
@@ -227,6 +228,41 @@ def test_adaptive_reference_values():
 def test_adaptive_no_convergence_when_capped():
     with pytest.raises(NoConvergence):
         eval_adaptive(sec_tan_spec(), 1.0, 1e-12, max_depth=4)
+
+
+def test_report_is_an_immutable_record():
+    """An ``EvalReport`` is a 4-tuple with named fields, built alike by position or
+    keyword, with the repr of the frozen dataclass it once was."""
+    report = EvalReport(1.5, 8, 0.0, "backward")
+    assert report == EvalReport(value=1.5, depth=8, est_rel_err=0.0, method="backward")
+    assert hash(report) == hash(EvalReport(value=1.5, depth=8, est_rel_err=0.0, method="backward"))
+    assert repr(report) == "EvalReport(value=1.5, depth=8, est_rel_err=0.0, method='backward')"
+    assert EvalReport._fields == ("value", "depth", "est_rel_err", "method")
+    for name in (*EvalReport._fields, "trace"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 2.0)
+    assert report._replace(depth=16) == (1.5, 16, 0.0, "backward")
+
+
+def test_adaptive_evaluators_probe_through_eval_backward(monkeypatch):
+    """Each probe of ``eval_adaptive`` and ``sec_tan`` is one call of ``eval_backward``
+    through its module-global name, which is what a wrapper installed there (as the
+    benchmark's tracer installs one) counts: probes at depths 4, 8, ..., the report's."""
+    for call, fold_depth in ((lambda: eval_adaptive(xcot_spec(), 0.5, 1e-10), lambda n: n),
+                             (lambda: sec_tan(1.0), lambda n: 4 * n + 4)):
+        expected, calls = call(), []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_backward(*args)
+
+        with monkeypatch.context() as mp:
+            for module in (core, expansions):
+                mp.setattr(module, "eval_backward", counting)
+            assert call() == expected
+        probes = [4 << i for i in range(len(calls))]
+        assert len(calls) >= 2 and probes[-1] == expected.depth
+        assert [args[2] for args in calls] == list(map(fold_depth, probes))
 
 
 def test_adaptive_validates_target():
@@ -572,6 +608,12 @@ def test_every_shape_gives_the_bits_of_the_generic_kernel():
     assert core._term("a", "k", core._SAME_A | 0b110011) == "a"
     assert core._term("b", "j", core._SAME_A | 0b110011) == "b0[j]"
     xs = [0.7, -1.3, 30.0, 0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-170, -1e-170, 1e20, -1e200]
+    # an index that still holds the stub compiles the shape of the table it is given, so
+    # index 0 is first compiled on a shape-0 table, which makes it the generic kernel
+    generic = core._rows(_shaped_spec(0), 16)
+    core._FOLD[0](generic, 0.7, 0, 1, None)
+    core._LENTZ[0](generic, 0.7, 1e-14, 64)
+    core._FORWARD[0](generic, 0.7, 1)
     one_varying = [(shape, (i,)) for shape in range(7) for i in range(3) if not shape >> i & 1]
     for shape, varying in [(shape, (0, 1, 2)) for shape in range(2 * core._SAME_A)] + one_varying:
         if shape & 7 == 7:  # every a column zero: a_k = 0 is no term

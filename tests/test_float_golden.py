@@ -55,8 +55,6 @@ EXTREME = [-0.0, 5e-324, -5e-324, 1e-300, 1e-160] + [
 def _encode(result):
     if isinstance(result, float):
         return result.hex()
-    if isinstance(result, tuple):
-        return [_encode(v) for v in result]
     if isinstance(result, list):
         return [v.hex() for v in result]
     return [result.value.hex(), result.depth, result.est_rel_err.hex(), result.method]

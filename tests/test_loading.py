@@ -101,15 +101,18 @@ def test_cfrac_loads_no_typing():
 
 def test_one_kernel_per_stream_and_method():
     """Lentz on each built-in stream, restarts included, compiles one kernel for the +-x
-    streams and one for x*cot(x), whose constant a_k has its own; one fold and one forward."""
-    counts = _loaded(
+    streams and one for x*cot(x), whose constant a_k has its own; one fold and one forward.
+    Before the first call each table holds one stub object at every index."""
+    stubs, counts = _loaded(
         "import json, cfrac\n"
         "from cfrac import core, expansions\n"
+        "tables = (core._LENTZ, core._FOLD, core._FORWARD)\n"
+        "stubs = [len(set(map(id, kernels))) for kernels in tables]\n"
         "for spec in (cfrac.sec_tan_spec(), cfrac.xcot_spec(), expansions._OFFSET):\n"
         "    cfrac.eval_lentz(spec, 1.0, 1e-12, 4096)\n"
         "cfrac.eval_adaptive(cfrac.sec_tan_spec(), 1.0, 1e-12)\n"
         "cfrac.eval_forward(cfrac.xcot_spec(), 0.7, 32)\n"
-        "print(json.dumps([sum(k.__name__ != 'call' for k in kernels)\n"
-        "                  for kernels in (core._LENTZ, core._FOLD, core._FORWARD)]))"
+        "print(json.dumps([stubs, [sum(k.__name__ != 'call' for k in kernels) for kernels in tables]]))"
     )
+    assert stubs == [1, 1, 1]
     assert counts == [2, 1, 1]

@@ -11,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "eval_lentz(dense, 0.7)")
 FRESH_LENTZ_ROWS = ("eval_lentz(fresh sec-tan, 1.0)", "eval_lentz(fresh xcot, 0.7)")  # restarts included
-LARGE_X_ROWS = ("eval_forward(xcot, 20.0, 64)", "eval_lentz(xcot, 20.0)")  # the most steps per call
+LARGE_X_ROWS = ("eval_forward(xcot, 20.0, 64)", "eval_lentz(xcot, 20.0)",  # the most steps per call
+                "sec_tan(20.0)", "eval_adaptive(sec-tan, 20.0)")
 CLI_ROWS = (  # whole requests: a csv record, two text tables and a usage error
     "cli.main(eval xcot --x=-17/8 --method forward --format csv)",
     "cli.main(convergents sec-tan --x=0.7 --depth 24)",
