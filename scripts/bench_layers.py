@@ -62,7 +62,6 @@ Usage:
 import argparse
 import contextlib
 import ctypes
-import dataclasses
 import importlib
 import importlib.util
 import io
@@ -111,6 +110,9 @@ def layers(cfrac, caps: dict) -> dict:
     """Layer name -> a call of that layer, on the shared spec of each stream; ``caps`` from ``suite_caps``."""
     xcot, flat, dense = cfrac.xcot_spec(), cfrac.sec_tan_spec(), dense_spec(cfrac)
     calls = {
+        # one term pair built, as a first table fill or a `cfrac terms` row asks for each
+        "termgen(xcot, 7)": lambda: xcot.termgen(7),
+        "termgen(sec-tan, 7)": lambda: flat.termgen(7),
         "sec_tan(1.0)": lambda: cfrac.sec_tan(1.0),
         "eval_adaptive(sec-tan, 1.0)": lambda: cfrac.eval_adaptive(flat, 1.0, 1e-12),
         "eval_adaptive(xcot, 0.7)": lambda: cfrac.eval_adaptive(xcot, 0.7, 1e-12),
@@ -130,7 +132,7 @@ def layers(cfrac, caps: dict) -> dict:
     calls["eval_lentz(xcot, 20.0)"] = lambda: cfrac.eval_lentz(xcot, 20.0, 1e-12, 4096)
     for spec, x in ((flat, 1.0), (xcot, 0.7)):  # cold: Lentz starts again as the new table grows
         calls[f"eval_lentz(fresh {spec.name}, {x})"] = (
-            lambda s=spec, x=x: cfrac.eval_lentz(dataclasses.replace(s), x, 1e-12, 4096))
+            lambda s=spec, x=x: cfrac.eval_lentz(type(s)(s.name, s.leading, s.termgen), x, 1e-12, 4096))
     # one row per kernel on a stream with no zero column
     calls["eval_backward(dense, 0.7, 32)"] = lambda: cfrac.eval_backward(dense, 0.7, 32)
     calls["eval_forward(dense, 0.7, 32)"] = lambda: cfrac.eval_forward(dense, 0.7, 32)
@@ -143,7 +145,7 @@ def layers(cfrac, caps: dict) -> dict:
         calls[f"convergent_exact({spec.name}, 12)"] = lambda s=spec: exact.convergent_exact(s, 12)
         # cold: a fresh copy of the spec, whose first call builds its exact steps
         calls[f"convergent_exact(fresh {spec.name}, 12)"] = (
-            lambda s=spec: exact.convergent_exact(dataclasses.replace(s), 12))
+            lambda s=spec: exact.convergent_exact(type(s)(s.name, s.leading, s.termgen), 12))
     for spec, order in ((flat, 12), (xcot, 25)):  # depth 12 at exact-deep's order for it
         f = exact.convergent_exact(spec, 12)
         calls[f"series_from_ratfunc({spec.name} 12, {order})"] = (

@@ -87,17 +87,16 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True)
-class PolyTerm:
-    """Polynomial c0 + c1*x + c2*x**2; each coefficient an int if integral, else a Fraction."""
+class PolyTerm(namedtuple("PolyTerm", "c0 c1 c2")):
+    """Polynomial c0 + c1*x + c2*x**2; each coefficient an int if integral, else a Fraction.
+    An immutable 3-tuple (c0, c1, c2): ``+`` joins coefficients as tuples do (``_rows`` reads
+    a pair so); it does not add polynomials.  ``_replace`` normalises as the constructor does."""
 
-    c0: int | Fraction = 0
-    c1: int | Fraction = 0
-    c2: int | Fraction = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so ``_replace`` calls ``__new__``
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, _exact(getattr(self, name)))
+    def __new__(cls, c0=0, c1=0, c2=0):
+        return tuple.__new__(cls, (_exact(c0), _exact(c1), _exact(c2)))
 
     def __call__(self, x):
         """Evaluate at x.  Exact for int/Fraction x, binary64 for float x."""
@@ -105,10 +104,10 @@ class PolyTerm:
 
     @property
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
+        return not any(self)
 
     def coefficients(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
-        return (self.c0, self.c1, self.c2)
+        return tuple(self)
 
     def __str__(self) -> str:
         parts = []
@@ -131,24 +130,26 @@ class PolyTerm:
         return out
 
 
-@dataclass(frozen=True)
-class TermPair:
-    """One (a_k, b_k) pair.  a_k must be nonzero or the fraction terminates."""
+class TermPair(namedtuple("TermPair", "a b")):
+    """One (a_k, b_k) pair, an immutable 2-tuple of ``PolyTerm``s.  a_k must be nonzero or
+    the fraction terminates; ``_replace`` checks that too."""
 
-    a: PolyTerm
-    b: PolyTerm
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so ``_replace`` calls ``__new__``
 
-    def __post_init__(self):
-        if self.a.is_zero:
+    def __new__(cls, a, b):
+        if not any(a):
             raise ValueError("partial numerator a_k must not be the zero polynomial")
+        return tuple.__new__(cls, (a, b))
 
 
 @dataclass(frozen=True)
 class CfSpec:
     """A named continued fraction: leading term b0 plus a pure generator k -> (a_k, b_k).
 
-    ``termgen`` must be total for all k >= 1 and return the same pair on
-    every call.
+    ``termgen`` must be total for all k >= 1 and return the same pair on every call.
+    ``CfSpec(spec.name, spec.leading, spec.termgen)`` copies a spec with empty tables.  It
+    is cfrac's one dataclass, as the benchmark's tracer copies a spec with its ``replace``.
     """
 
     name: str
@@ -206,12 +207,11 @@ def _rows(cf: CfSpec, last: int) -> tuple[list, ...]:
     rows = len(table[0])
     if rows > last:
         return table
-    leading = ([float(c)] for c in cf.leading.coefficients())
-    grown = tuple(map(list, table)) if rows else ([0], [0.0], [0.0], *leading)
+    grown = tuple(map(list, table)) if rows else ([0], [0.0], [0.0], *([float(c)] for c in cf.leading))
     memo = {}  # one float object per value; exact coefficients never give -0.0 or nan
     for k in range(len(grown[0]), max(last, 2 * rows) + 1):
         pair = cf.termgen(k)
-        for column, c in zip(grown, pair.a.coefficients() + pair.b.coefficients()):
+        for column, c in zip(grown, pair.a + pair.b):
             c = float(c)
             column.append(memo.setdefault(c, c))
     n, new = len(grown[0]), max(rows, 2)  # the rows not yet compared with row 1

@@ -290,10 +290,10 @@ def _steps(cf: CfSpec, depth: int) -> list[_Step]:
     if len(rows) > depth:
         return rows
     grown = rows[:-1]
-    b, _ = rows[-1] if rows else _step(cf.leading.coefficients(), ())
+    b, _ = rows[-1] if rows else _step(cf.leading, ())
     for k in range(max(len(rows), 1), depth + 1):
         pair = cf.termgen(k)
-        b_k, a = _step(pair.b.coefficients(), pair.a.coefficients())
+        b_k, a = _step(pair.b, pair.a)
         grown.append((b, a))
         b = b_k
     grown.append((b, []))

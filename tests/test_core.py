@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -15,11 +14,13 @@ from cfrac import (
     NoConvergence,
     PolyTerm,
     TermPair,
+    cli,
     core,
     eval_adaptive,
     eval_backward,
     eval_forward,
     eval_lentz,
+    exact,
     expansions,
     halved_value,
     offset_value,
@@ -89,6 +90,68 @@ def test_polyterm_str():
 def test_termpair_rejects_zero_numerator():
     with pytest.raises(ValueError):
         TermPair(a=PolyTerm(0), b=PolyTerm(3))
+
+
+def test_term_records_are_immutable_tuples():
+    """A ``PolyTerm`` is the 3-tuple (c0, c1, c2) and a ``TermPair`` the 2-tuple (a, b), with
+    named fields, built alike by position or keyword, with the reprs of the frozen
+    dataclasses they once were; ``_replace`` builds through the constructor, so it
+    normalises coefficients and rejects a zero a_k as the constructor does."""
+    term = PolyTerm(1, Fraction(1, 3), -2)
+    assert term == PolyTerm(c0=1, c1=Fraction(1, 3), c2=-2) == (1, Fraction(1, 3), -2)
+    assert hash(term) == hash(PolyTerm(c0=1, c1=Fraction(1, 3), c2=-2)) == hash((1, Fraction(1, 3), -2))
+    assert repr(term) == "PolyTerm(c0=1, c1=Fraction(1, 3), c2=-2)"
+    assert PolyTerm._fields == ("c0", "c1", "c2")
+    pair = TermPair(PolyTerm(c2=-1), PolyTerm(3))
+    assert pair == TermPair(a=PolyTerm(c2=-1), b=PolyTerm(3)) == ((0, 0, -1), (3, 0, 0))
+    assert hash(pair) == hash(TermPair(a=PolyTerm(c2=-1), b=PolyTerm(3)))
+    assert repr(pair) == "TermPair(a=PolyTerm(c0=0, c1=0, c2=-1), b=PolyTerm(c0=3, c1=0, c2=0))"
+    assert TermPair._fields == ("a", "b")
+    for record in (term, pair):
+        for name in (*record._fields, "trace"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, PolyTerm(1))
+    three = term._replace(c0=Fraction(6, 2))
+    assert three == (3, Fraction(1, 3), -2) and type(three.c0) is int
+    assert pair._replace(b=PolyTerm(5)) == TermPair(PolyTerm(c2=-1), PolyTerm(5))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        pair._replace(a=PolyTerm())
+
+
+def test_term_subclass_builds_the_tables_of_its_plain_stream():
+    """Terms of a ``PolyTerm`` subclass that overrides ``__call__``, built positionally from
+    ``coefficients()`` and paired by keyword in a wrapping ``termgen`` (the benchmark's
+    tracer times terms so), give the float table and exact steps of the plain stream."""
+    class Timed(PolyTerm):
+        def __call__(self, x):
+            return PolyTerm.__call__(self, x)
+
+    def timed(term):
+        return Timed(*term.coefficients())
+
+    for stream in (xcot_spec(), sec_tan_spec()):
+        def termgen(k, gen=stream.termgen):
+            pair = gen(k)
+            return TermPair(a=timed(pair.a), b=timed(pair.b))
+
+        traced = CfSpec(stream.name, timed(stream.leading), termgen)
+        plain = CfSpec(stream.name, stream.leading, stream.termgen)
+        assert type(traced.termgen(3).b) is Timed and traced.termgen(3).b(0.5) == plain.termgen(3).b(0.5)
+        assert core._rows(traced, 40) == core._rows(plain, 40)
+        assert exact._steps(traced, 24) == exact._steps(plain, 24)
+        for x in (0.7, -20.0):
+            assert eval_backward(traced, x, 32) == eval_backward(plain, x, 32)
+            assert eval_lentz(traced, x, 1e-14, 64) == eval_lentz(plain, x, 1e-14, 64)
+
+
+def test_cfspec_is_the_one_dataclass():
+    """``CfSpec`` is the only dataclass cfrac defines: the benchmark's tracer copies each
+    spec with the dataclass ``replace``, and until it calls the constructor instead, a
+    spec stays one, while every other record is a tuple or a plain class."""
+    found = [name for module in (core, expansions, exact, cli) for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__ == module.__name__
+             and "__dataclass_fields__" in vars(obj)]
+    assert found == ["CfSpec"]
 
 
 def test_backward_matches_exact_convergents():
@@ -495,7 +558,7 @@ def test_lentz_restarts_at_every_table_length():
                 expected = "NoConvergence" if expected is None else (
                     expected[0].hex(), expected[1], expected[2].hex())
                 for rows in range(2, 49):
-                    spec = dataclasses.replace(stream)
+                    spec = CfSpec(stream.name, stream.leading, stream.termgen)
                     assert len(core._rows(spec, rows - 1)[0]) == rows
                     assert _outcome(lambda: eval_lentz(spec, x, 1e-14, max_terms)) == expected, (
                         stream.name, x, max_terms, rows)
@@ -642,7 +705,7 @@ def test_regular_fraction_runs_the_kernels_of_a_constant_numerator():
             assert eval_backward(spec, x, depth) == _generic_backward(terms, depth)
             assert eval_forward(spec, x, depth) == _generic_forward(terms, depth)
         for eps in (1e-8, 1e-15):
-            report = eval_lentz(dataclasses.replace(spec), x, eps, 64)
+            report = eval_lentz(CfSpec(spec.name, spec.leading, spec.termgen), x, eps, 64)
             assert (report.value, report.depth, report.est_rel_err) == _generic_lentz(terms, eps, 64)
     assert spec._table[0][0] == core._SAME_A | 0b110110  # a1 a2 b1 b2 all zero
     report = eval_adaptive(spec, 0.0, 1e-15)

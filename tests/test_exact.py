@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import math
 import random
@@ -40,6 +39,11 @@ ZIGZAG = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
 
 X = Poly((0, 1))
 ONE = Poly((1,))
+
+
+def _fresh(spec):
+    """A copy of ``spec`` through its constructor: the same stream, empty term tables."""
+    return CfSpec(spec.name, spec.leading, spec.termgen)
 
 
 def test_poly_trims_trailing_zeros():
@@ -291,7 +295,7 @@ def test_exact_table_generates_each_term_once():
 @pytest.mark.parametrize("spec", [sec_tan_spec(), xcot_spec()], ids=lambda s: s.name)
 def test_exact_table_order_of_depths_does_not_matter(spec):
     depths = range(1, exact.MAX_EXACT_DEPTH + 1)
-    ascending, descending = dataclasses.replace(spec), dataclasses.replace(spec)
+    ascending, descending = _fresh(spec), _fresh(spec)
     up = {d: convergent_exact(ascending, d) for d in depths}
     down = {d: convergent_exact(descending, d) for d in reversed(depths)}
     assert all((up[d].num, up[d].den) == (down[d].num, down[d].den) for d in depths)
@@ -303,7 +307,7 @@ def test_shared_exact_table_under_concurrent_growth():
     """Eight threads grow one fresh spec's exact table, each through depths
     1..64 in its own order, and get exactly the convergents of a serial run;
     the stored steps are those of a serial fill."""
-    spec, serial = dataclasses.replace(sec_tan_spec()), dataclasses.replace(sec_tan_spec())
+    spec, serial = _fresh(sec_tan_spec()), _fresh(sec_tan_spec())
     depths = range(1, exact.MAX_EXACT_DEPTH + 1)
     expected = {d: (f.num, f.den) for d in depths for f in [convergent_exact(serial, d)]}
     results, errors = [], []
@@ -334,13 +338,13 @@ def test_shared_exact_table_under_concurrent_growth():
     assert all(result == expected for result in results)
     rows = spec._steps  # the last thread to publish may have grown a shorter copy
     assert 2 <= len(rows) <= exact.MAX_EXACT_DEPTH + 1
-    assert rows == exact._steps(dataclasses.replace(sec_tan_spec()), len(rows) - 1)
+    assert rows == exact._steps(_fresh(sec_tan_spec()), len(rows) - 1)
 
 
 def test_exact_table_growth_leaves_published_rows_untouched():
     """A reader holding the published steps keeps them whole while the table
     grows: growth copies into a new list and never appends in place."""
-    spec = dataclasses.replace(xcot_spec())
+    spec = _fresh(xcot_spec())
     published = exact._steps(spec, 8)
     snapshot = copy.deepcopy(published)
     grown = exact._steps(spec, 20)
@@ -544,7 +548,7 @@ def test_algebraic_suites_build_no_poly(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", counting_init)
     monkeypatch.setattr(exact, "_unpack", no_unpack)
     for name in ("xcot_spec", "sec_tan_spec"):
-        fresh = dataclasses.replace(getattr(exact, name)())
+        fresh = _fresh(getattr(exact, name)())
         monkeypatch.setattr(exact, name, lambda fresh=fresh: fresh)
     for check, suite in ((verify_pairing, "pairing"), (verify_offset_rewrite, "offset"),
                          (verify_halving_rewrite, "halving"), (verify_flattening, "flatten")):
@@ -559,7 +563,7 @@ def test_verify_all_reads_every_stream_the_float_layer_folds(monkeypatch):
     # offset stream of offset_value; given fresh copies, each builds its exact step table
     assert (exact.xcot_spec, exact.sec_tan_spec, exact._OFFSET) == (
         expansions.xcot_spec, expansions.sec_tan_spec, expansions._OFFSET)
-    fresh = {name: dataclasses.replace(spec) for name, spec in (
+    fresh = {name: _fresh(spec) for name, spec in (
         ("xcot_spec", xcot_spec()), ("sec_tan_spec", sec_tan_spec()), ("_OFFSET", expansions._OFFSET))}
     for name in ("xcot_spec", "sec_tan_spec"):
         monkeypatch.setattr(exact, name, lambda spec=fresh[name]: spec)
@@ -575,7 +579,7 @@ def test_a_wrong_offset_term_fails_only_its_level(monkeypatch, index, field, lev
     def planted(k):
         pair = expansions._offset_terms(k)
         wrong = PolyTerm(7, 1)  # no term is 7 + x
-        return dataclasses.replace(pair, **{field: wrong}) if k == index else pair
+        return pair._replace(**{field: wrong}) if k == index else pair
 
     monkeypatch.setattr(exact, "_OFFSET", CfSpec(name="planted", leading=expansions._OFFSET.leading,
                                                  termgen=planted))
