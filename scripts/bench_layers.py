@@ -113,7 +113,10 @@ def layers(cfrac, caps: dict) -> dict:
         # one term pair built, as a first table fill or a `cfrac terms` row asks for each
         "termgen(xcot, 7)": lambda: xcot.termgen(7),
         "termgen(sec-tan, 7)": lambda: flat.termgen(7),
+        # sec_tan at m = 0, where x is not reduced, and at m = 1 and m = -3
+        "sec_tan(0.5)": lambda: cfrac.sec_tan(0.5),
         "sec_tan(1.0)": lambda: cfrac.sec_tan(1.0),
+        "sec_tan(-5.0)": lambda: cfrac.sec_tan(-5.0),
         "eval_adaptive(sec-tan, 1.0)": lambda: cfrac.eval_adaptive(flat, 1.0, 1e-12),
         "eval_adaptive(xcot, 0.7)": lambda: cfrac.eval_adaptive(xcot, 0.7, 1e-12),
         # |x| in [2, 30], float-eval's costliest stratum, where the folds outweigh the doubling loop

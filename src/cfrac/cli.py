@@ -133,8 +133,7 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-# depth flags and --count stop at eval_adaptive's depth cap, which sec_tan counts in levels of
-# four rows (depth 16388); --order before any triangle
+# depth flags and --count stop at eval_adaptive's depth cap; --order before any triangle
 _depth_arg, _nonneg_int = _int_at_least(1, DEFAULT_MAX_DEPTH), _int_at_least(0)
 _order_arg, _count_arg = _int_at_least(0, MAX_SERIES_ORDER), _int_at_least(0, DEFAULT_MAX_DEPTH)
 

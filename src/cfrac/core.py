@@ -62,8 +62,8 @@ POLE_THRESHOLD = 1e-300
 # Replacement magnitude for vanishing intermediates in the Lentz iteration.
 TINY_GUARD = 1e-30
 
-# Cap of the adaptive doubling schedule: eval_adaptive's deepest depth, and
-# sec_tan's most levels of four rows each, so depth 4*4096 + 4 = 16388 there.
+# Cap of the adaptive doubling schedule, eval_adaptive's deepest depth; the CLI's
+# depth, count and Lentz term limits too.
 DEFAULT_MAX_DEPTH = 4096
 
 
@@ -164,16 +164,18 @@ class CfSpec:
 
 
 class EvalReport(namedtuple("EvalReport", "value depth est_rel_err method")):
-    """Numeric evaluation result with an a posteriori error estimate.
+    """Numeric evaluation result with an error estimate or bound.
 
-    ``method`` is "backward", "forward" or "lentz".  ``est_rel_err`` is the
+    ``method`` is "backward", "forward" or "lentz".  For ``sec_tan``,
+    ``est_rel_err`` is a proved bound on the relative error of ``value``, and
+    ``depth`` is the depth of its one x*cot fold.  Elsewhere it is the
     relative difference between the last two approximants compared: for
-    ``eval_adaptive`` and ``sec_tan`` the last two probes, for a fixed-depth
-    CLI method depth against depth - 1, and for ``eval_lentz`` |Delta_n - 1|
-    at the step that stopped it.  It is always measured, and it is not a
-    proved bound: two probes can agree bit for bit (an estimate of 0.0) while
-    both are wrong.  A report is an immutable 4-tuple (value, depth,
-    est_rel_err, method) with those field names.
+    ``eval_adaptive`` the last two probes, for a fixed-depth CLI method depth
+    against depth - 1, and for ``eval_lentz`` |Delta_n - 1| at the step that
+    stopped it.  Such an estimate is measured, not a proved bound: two probes
+    can agree bit for bit (an estimate of 0.0) while both are wrong.  A report
+    is an immutable 4-tuple (value, depth, est_rel_err, method) with those
+    field names.
     """
 
     __slots__ = ()
@@ -448,22 +450,6 @@ def relative_difference(v_new: float, v_old: float) -> float:
     return abs(v_new - v_old) / max(abs(v_new), POLE_THRESHOLD)
 
 
-def _deepen(probe, cf: CfSpec, x: float, target_rel_err: float, limit: int) -> EvalReport:
-    """``probe(cf, x, n)`` at n = 4, 8, 16, ... <= ``limit`` until one agrees with the last."""
-    if not target_rel_err > 0:  # also rejects nan
-        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
-    previous = probe(cf, x, 4)
-    n = 8
-    while n <= limit:
-        value = probe(cf, x, n)
-        est = relative_difference(value, previous)
-        if est <= target_rel_err:
-            return EvalReport(value, n, est, "backward")
-        previous = value
-        n *= 2
-    raise NoConvergence(f"no agreement within {target_rel_err} up to depth {limit} (x={x!r})")
-
-
 def eval_adaptive(
     cf: CfSpec,
     x: float,
@@ -475,9 +461,21 @@ def eval_adaptive(
     Each candidate depth D is compared against the depth-D/2 value (the
     first probe at depth 8 compares against depth 4); the loop stops when
     the relative difference is within ``target_rel_err``.  The report
-    carries the final depth and the achieved difference.
+    carries the final depth and the achieved difference.  Each probe calls
+    ``eval_backward`` through this module's global name.
 
     Raises NoConvergence when ``max_depth`` is passed without agreement;
     DivisionNearZero propagates from the backward recurrence.
     """
-    return _deepen(eval_backward, cf, x, target_rel_err, max_depth)
+    if not target_rel_err > 0:  # also rejects nan
+        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
+    previous = eval_backward(cf, x, 4)
+    n = 8
+    while n <= max_depth:
+        value = eval_backward(cf, x, n)
+        est = relative_difference(value, previous)
+        if est <= target_rel_err:
+            return EvalReport(value, n, est, "backward")
+        previous = value
+        n *= 2
+    raise NoConvergence(f"no agreement within {target_rel_err} up to depth {max_depth} (x={x!r})")

@@ -29,19 +29,25 @@ index: paired_k is the x*cot(x) stream from 2k, halved_k the sec-tan stream
 from 4k + 1 and offset_k the offset stream ``_OFFSET`` from 4k.  Each stream
 is one shared instance, so its float table is built once.  The ``exact``
 module verifies each step of the chain on these same three streams.
+
+``sec_tan`` evaluates sec(x) + tan(x) = tan(pi/4 + x/2) without a deep fold:
+it reduces x = m*pi/2 + r, |r| <= pi/4, folds the x*cot(x) stream once, at
+h = r/2 and depth 7, and maps h*cot(h) to the value by one of four Moebius
+maps picked by m mod 4.  Its depth and cost do not grow with |x|, and its
+error estimate is a proved bound.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import fsum
 
 from .core import (
-    DEFAULT_MAX_DEPTH,
     CfSpec,
     EvalReport,
+    NoConvergence,
     PolyTerm,
     TermPair,
-    _deepen,
     _fold,
     eval_backward,
     finite_float,
@@ -124,26 +130,50 @@ def halved_value(k: int, x: float, levels: int, tail: float | None = None) -> fl
     return _fold(sec_tan_spec(), x, 4 * k + 1, 4 * levels + 3, tail)
 
 
-def _levels(spec: CfSpec, x: float, n: int) -> float:
-    """``sec_tan``'s probe: n levels, the sec-tan stream to depth 4n + 4 closed by 4n + 5 - x/2."""
-    return eval_backward(spec, x, 4 * n + 4, 4 * n + 5 - x / 2)
+# Cody & Waite's split of pi/2 (Muller, *Elementary Functions*, 3rd ed. 2016, ch. 11): P1 and P2
+# are its first two 33-bit pieces, its next 53 bits, P3, are kept as Dekker's two halves P3H + P3L
+# of 25 bits each, and P4 is the rest, rounded.  For |m| < 2**20 every product m*P but m*P4 is
+# exact, so ``fsum`` rounds x - m*(P1 + P2 + P3 + P4) once, and that differs from x - m*pi/2
+# by at most |m|*_PI_ERR: |pi/2 - P1 - P2 - P3 - P4| < 4.3e-54, plus m*P4's rounding.
+_P1, _P2, _P3H, _P3L, _P4 = (
+    1.5707963267341256, 6.077100506303966e-11, 2.022266261332941e-21, -1.253699030779104e-29, 1.0085854035872483e-37)
+_PI_ERR, _M_CAP = 1.6e-53, 2**20
+_SEC_TAN_DEPTH = 7
+# Relative error of the x*cot fold at depth 7 and the quadrant map, over |h| <= 0.3927, which is
+# pi/8 plus the slack of a rounded m; derived in exact rationals from the value set of the
+# x*cot(x) tails, t_n in [2n+1 - h^2/(n+2), 2n+1], by tests/test_sec_tan_reduction.py.
+_SEC_TAN_ERR = 4.63e-16
+_U = 1.2e-16  # the unit roundoff 2**-53, rounded up
 
 
-def sec_tan(
-    x: float,
-    target_rel_err: float = 1e-12,
-    max_levels: int = DEFAULT_MAX_DEPTH,
-) -> EvalReport:
-    """Evaluate sec(x) + tan(x) = 1 + x/halved_0(x) with adaptive depth.
+def sec_tan(x: float, target_rel_err: float = 1e-12) -> EvalReport:
+    """sec(x) + tan(x) = tan(pi/4 + x/2) from one x*cot fold at a fixed depth.
 
-    Deepens halved_0(x) over doubling level counts L = 8, 16, 32, ... (each
-    compared against the previous count, the first against L = 4) until two
-    successive evaluations agree within ``target_rel_err`` relatively.  Level
-    count L is the sec-tan stream to depth 4L + 4 closed by ``halved_value``'s
-    tail 4L + 5 - x/2.  The report's depth field is the level count.
+    Reduces x = m*pi/2 + r, |r| <= pi/4, with Cody & Waite's split of pi/2, and folds
+    c = h*cot(h) at h = r/2 as ``eval_backward(xcot_spec(), h, 7)``.  With j = (m + 1) mod 4
+    the value is h/c, (c + h)/(c - h), -c/h or (h - c)/(h + c) for j = 0, 1, 2, 3.
 
-    Raises NoConvergence when ``max_levels`` is passed without agreement
-    (e.g. near the poles x = pi/2 + 2*pi*n) and DivisionNearZero when
-    halved_0(x) underflows (the true value diverges there).
+    The report's depth is 7, and its ``est_rel_err`` is a proved bound on the relative error:
+    a constant for the fold's truncation and the rounding of the fold and the map, plus the
+    error of r (one rounding and |m| times the split's error) times |sec x|, bounded by
+    1/(0.89 |r|) for odd m and by sqrt(2), rounded up, for even m.  Raises NoConvergence when
+    the bound exceeds ``target_rel_err``, and when |m| >= 2**20 (|x| past about 1.6e6), where
+    the split is no longer exact: reducing larger x needs more bits of pi (ROADMAP.md, item 12).
     """
-    return _deepen(_levels, sec_tan_spec(), finite_float(x), target_rel_err, max_levels)
+    x = finite_float(x)
+    if not target_rel_err > 0:  # also rejects nan
+        raise ValueError(f"target_rel_err must be > 0, got {target_rel_err}")
+    m = round(x * 0.6366197723675814)  # x * 2/pi
+    r, err = x, _SEC_TAN_ERR
+    if m:
+        if not -_M_CAP < m < _M_CAP:
+            raise NoConvergence(f"sec_tan reduces only |x * 2/pi| < 2**20, got x={x!r} (ROADMAP.md, item 12)")
+        r = fsum((x, -m * _P1, -m * _P2, -m * _P3H, -m * _P3L, -m * _P4))
+        err += (_U + abs(m) * _PI_ERR / abs(r)) / 0.89 if m & 1 else (_U * abs(r) + abs(m) * _PI_ERR) * 1.415
+    if err > target_rel_err:
+        raise NoConvergence(f"error bound {err!r} exceeds target {target_rel_err!r} (x={x!r})")
+    h = 0.5 * r
+    c = eval_backward(xcot_spec(), h, _SEC_TAN_DEPTH)
+    j = (m + 1) % 4
+    value = (c + h) / (c - h) if j == 1 else -c / h if j == 2 else (h - c) / (h + c) if j == 3 else h / c
+    return EvalReport(value, _SEC_TAN_DEPTH, err, "backward")

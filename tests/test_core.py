@@ -308,11 +308,11 @@ def test_report_is_an_immutable_record():
 
 
 def test_adaptive_evaluators_probe_through_eval_backward(monkeypatch):
-    """Each probe of ``eval_adaptive`` and ``sec_tan`` is one call of ``eval_backward``
-    through its module-global name, which is what a wrapper installed there (as the
-    benchmark's tracer installs one) counts: probes at depths 4, 8, ..., the report's."""
-    for call, fold_depth in ((lambda: eval_adaptive(xcot_spec(), 0.5, 1e-10), lambda n: n),
-                             (lambda: sec_tan(1.0), lambda n: 4 * n + 4)):
+    """Each probe of ``eval_adaptive`` is one call of ``eval_backward`` through its
+    module-global name, which is what a wrapper installed there (as the benchmark's
+    tracer installs one) counts: probes at depths 4, 8, ..., the report's.  ``sec_tan``
+    makes one such call, the x*cot fold at h = r/2 and depth 7."""
+    def counted(call):
         expected, calls = call(), []
 
         def counting(*args):
@@ -323,9 +323,16 @@ def test_adaptive_evaluators_probe_through_eval_backward(monkeypatch):
             for module in (core, expansions):
                 mp.setattr(module, "eval_backward", counting)
             assert call() == expected
-        probes = [4 << i for i in range(len(calls))]
-        assert len(calls) >= 2 and probes[-1] == expected.depth
-        assert [args[2] for args in calls] == list(map(fold_depth, probes))
+        return expected, calls
+
+    expected, calls = counted(lambda: eval_adaptive(xcot_spec(), 0.5, 1e-10))
+    probes = [4 << i for i in range(len(calls))]
+    assert len(calls) >= 2 and probes[-1] == expected.depth
+    assert [args[2] for args in calls] == probes
+    expected, calls = counted(lambda: sec_tan(1.0))
+    ((spec, h, depth),) = calls
+    assert (spec, depth, expected.depth) == (xcot_spec(), 7, 7)
+    assert h == pytest.approx((1.0 - math.pi / 2) / 2, rel=1e-15)
 
 
 def test_adaptive_validates_target():
@@ -348,7 +355,8 @@ def _assert_nan_rejected_before_any_term(call, monkeypatch):
         return sec_tan_spec().termgen(k)
 
     spec = CfSpec(name="counting", leading=PolyTerm(1), termgen=counting)
-    monkeypatch.setattr(expansions, "sec_tan_spec", lambda: spec)
+    for factory in ("sec_tan_spec", "xcot_spec"):  # sec_tan folds the x*cot stream
+        monkeypatch.setattr(expansions, factory, lambda: spec)
     with pytest.raises(ValueError, match="nan"):
         call(spec)
     assert calls == []
@@ -424,8 +432,8 @@ def test_second_evaluation_generates_no_terms():
 
 
 def test_deep_table_shares_float_objects():
-    """A sec-tan table through index 16388, the depth a sec_tan NoConvergence
-    near a pole reaches, holds at most 100 bytes per row once filled."""
+    """A sec-tan table through index 16388, 4 * DEFAULT_MAX_DEPTH + 4, holds at
+    most 100 bytes per row once filled."""
     spec = sec_tan_spec.__wrapped__()
     tracemalloc.start()
     try:

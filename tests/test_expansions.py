@@ -140,8 +140,10 @@ def test_sec_tan_reciprocal_symmetry():
 def test_sec_tan_validation_and_budget():
     with pytest.raises(ValueError):
         sec_tan(1.0, target_rel_err=0.0)
-    with pytest.raises(NoConvergence):
-        sec_tan(1.0, max_levels=4)
+    with pytest.raises(NoConvergence, match="item 12"):
+        sec_tan(1e7)
+    with pytest.raises(NoConvergence, match="bound"):
+        sec_tan(1.0, 1e-17)
 
 
 def test_halved_tail_guard():

@@ -13,6 +13,7 @@ DENSE_ROWS = ("eval_backward(dense, 0.7, 32)", "eval_forward(dense, 0.7, 32)", "
 FRESH_LENTZ_ROWS = ("eval_lentz(fresh sec-tan, 1.0)", "eval_lentz(fresh xcot, 0.7)")  # restarts included
 LARGE_X_ROWS = ("eval_forward(xcot, 20.0, 64)", "eval_lentz(xcot, 20.0)",  # the most steps per call
                 "sec_tan(20.0)", "eval_adaptive(sec-tan, 20.0)")
+SEC_TAN_ROWS = ("sec_tan(0.5)", "sec_tan(1.0)", "sec_tan(-5.0)")  # m = 0, 1 and -3
 TERMGEN_ROWS = ("termgen(xcot, 7)", "termgen(sec-tan, 7)")  # one term pair built
 CLI_ROWS = (  # whole requests: a csv record, two text tables and a usage error
     "cli.main(eval xcot --x=-17/8 --method forward --format csv)",
@@ -57,6 +58,7 @@ def test_study_script_runs(script, args):
             *DENSE_ROWS,  # each kernel on its generic loop
             *FRESH_LENTZ_ROWS,
             *LARGE_X_ROWS,
+            *SEC_TAN_ROWS,
             *TERMGEN_ROWS,
             *CLI_ROWS,
         } <= set(times)
@@ -67,5 +69,5 @@ def test_study_script_runs(script, args):
                     "exact-deep op(sec-tan 12, 12) [ratio]",
                     "one-shot import cfrac [baseline]",
                     *(f"{row} [ratio]" for row in (
-                        DENSE_ROWS + FRESH_LENTZ_ROWS + LARGE_X_ROWS + TERMGEN_ROWS + CLI_ROWS))} <= set(times)
+                        DENSE_ROWS + FRESH_LENTZ_ROWS + LARGE_X_ROWS + SEC_TAN_ROWS + TERMGEN_ROWS + CLI_ROWS))} <= set(times)
 
